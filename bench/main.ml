@@ -128,10 +128,24 @@ let micro_tests () =
   let r = Reg.int in
   (* substrate primitives *)
   let iq = Sdiq_cpu.Iq.create ~size:80 ~bank_size:8 in
-  for i = 0 to 39 do
-    ignore
-      (Sdiq_cpu.Iq.dispatch iq ~rob_idx:i ~ops:[ (i, false); (i + 100, true) ])
-  done;
+  (* One wakeup/select round trip on an otherwise empty queue: four
+     ready producers and four consumers waiting on their tags dispatch,
+     the producers' tags broadcast, and every ready slot issues — which
+     empties the queue again for the next run. *)
+  let producer_tags = [| 1; 2; 3; 4 |] in
+  let wakeup_select () =
+    for i = 0 to 3 do
+      ignore (Sdiq_cpu.Iq.dispatch iq ~rob_idx:i ~ops:[ (100 + i, true) ]);
+      ignore
+        (Sdiq_cpu.Iq.dispatch iq ~rob_idx:(4 + i)
+           ~ops:[ (producer_tags.(i), false); (100 + i, true) ])
+    done;
+    let woken = Sdiq_cpu.Iq.broadcast_into iq producer_tags 4 in
+    while iq.Sdiq_cpu.Iq.nready > 0 do
+      Sdiq_cpu.Iq.issue iq iq.Sdiq_cpu.Iq.ready.(0)
+    done;
+    woken
+  in
   let cache = Sdiq_cpu.Cache.create ~sets:512 ~ways:4 ~line:32 in
   let bpred = Sdiq_cpu.Branch_pred.create Sdiq_cpu.Config.default in
   let block =
@@ -146,9 +160,8 @@ let micro_tests () =
   in
   let counter = ref 0 in
   [
-    Test.make ~name:"iq-broadcast"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Sdiq_cpu.Iq.broadcast_many iq [ 7; 13 ])));
+    Test.make ~name:"iq-wakeup-select"
+      (Staged.stage (fun () -> Sys.opaque_identity (wakeup_select ())));
     Test.make ~name:"cache-access"
       (Staged.stage (fun () ->
            incr counter;

@@ -8,8 +8,10 @@
    ROB drains in program order, the physical register files conserve
    registers across rename, commit and squash, wrong-path work stays
    confined to an open mispredict episode with live IQ/ROB/LSQ linkage
-   (DESIGN.md §14), and the wakeup counters fed to [Sdiq_power] equal
-   the comparisons the queue really performed.
+   (DESIGN.md §14), the wakeup counters fed to [Sdiq_power] equal
+   the comparisons the queue really performed, and the queue's
+   event-driven state — operand counters, ready list, waiter lists
+   (DESIGN.md §13.1) — agrees with a recount of its slots.
 
    The wakeup check exploits the pipeline's phase order (commit →
    writeback → issue → dispatch): the issue queue is untouched between the
@@ -534,10 +536,73 @@ let check_wakeups c p =
   c.prev_suppressed <- iq.Iq.wakeups_suppressed;
   check_pred_soundness c p ~suppressing;
   let present, waiting, pred_waiting = operand_exposure iq in
+  (* The queue prices the next broadcast from its incremental counters;
+     they must equal the recount the expectations above are built on. *)
+  if
+    iq.Iq.present_ops <> present
+    || iq.Iq.waiting_ops <> waiting
+    || iq.Iq.pred_waiting_ops <> pred_waiting
+  then
+    fail p ~invariant:"iq-operand-counts"
+      "operand counters say present=%d waiting=%d predicted-waiting=%d, \
+       recount finds %d/%d/%d"
+      iq.Iq.present_ops iq.Iq.waiting_ops iq.Iq.pred_waiting_ops present
+      waiting pred_waiting;
   c.prev_present_ops <- present;
   c.prev_waiting_ops <- waiting;
   c.prev_pred_waiting_ops <- pred_waiting;
-  c.checks_run <- c.checks_run + 4
+  c.checks_run <- c.checks_run + 5
+
+(* --- event-driven select and wakeup structures --------------------------- *)
+
+(* Select reads only the ready list, and wakeup only the broadcast tags'
+   waiter lists, so both must be complete: the ready list holds exactly
+   the valid slots whose present operands are all ready, each once, and
+   every waiting operand is on its tag's list (stale extra entries are
+   allowed — a broadcast re-checks them). A slot missing from the ready
+   list would never issue; an operand missing from its list would never
+   wake. *)
+let check_ready_and_waiters c p =
+  let iq = Pipeline.Debug.iq p in
+  let expected = ref 0 in
+  for s = 0 to iq.Iq.size - 1 do
+    if Iq.slot_ready iq s then begin
+      incr expected;
+      let i = iq.Iq.ready_pos.(s) in
+      if i < 0 || i >= iq.Iq.nready || iq.Iq.ready.(i) <> s then
+        fail p ~invariant:"iq-ready-list"
+          "slot %d is valid with every operand ready but is not on the \
+           ready list"
+          s
+    end
+  done;
+  for i = 0 to iq.Iq.nready - 1 do
+    let s = iq.Iq.ready.(i) in
+    if iq.Iq.ready_pos.(s) <> i then
+      fail p ~invariant:"iq-ready-list"
+        "ready-list entry %d names slot %d, whose position field says %d \
+         (a duplicate or a stale entry)"
+        i s iq.Iq.ready_pos.(s)
+  done;
+  if iq.Iq.nready <> !expected then
+    fail p ~invariant:"iq-ready-list"
+      "ready list holds %d slots, but %d valid slots have every operand \
+       ready"
+      iq.Iq.nready !expected;
+  for s = 0 to iq.Iq.size - 1 do
+    if Iq.slot_valid iq s then
+      for j = 0 to 1 do
+        if Iq.op_present iq s j && not (Iq.op_ready iq s j) then begin
+          let tag = Iq.op_tag iq s j in
+          if not (Iq.waits_on iq ~tag ((2 * s) + j)) then
+            fail p ~invariant:"iq-waiter-list"
+              "slot %d operand %d waits on tag %d but is not on its waiter \
+               list — it would never wake"
+              s j tag
+        end
+      done
+  done;
+  c.checks_run <- c.checks_run + 2
 
 (* --- select-scan accounting ---------------------------------------------- *)
 
@@ -575,6 +640,7 @@ let check c p =
   check_speculation c p;
   check_lsq c p;
   check_wakeups c p;
+  check_ready_and_waiters c p;
   check_scan c p;
   c.cycles_checked <- c.cycles_checked + 1
 

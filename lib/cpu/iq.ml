@@ -22,11 +22,30 @@
    example and by all techniques evaluated).
 
    Storage is flat (DESIGN.md §13): per-slot state lives in unboxed
-   byte/int arrays instead of an array of entry records, so the wakeup
-   scan and the select sweep walk contiguous memory with no pointer
-   chasing, and per-bank occupancy is maintained incrementally
-   ([bank_live]) so the powered-bank mask costs O(banks), not O(size),
-   per cycle. *)
+   byte/int arrays instead of an array of entry records, and per-bank
+   occupancy is maintained incrementally ([bank_live]) so the powered-bank
+   mask costs O(banks), not O(size), per cycle.
+
+   Wakeup and select are event-driven (DESIGN.md §13.1): neither scans
+   the slots.
+   - Waiter lists: each physical tag keeps the operand indices that
+     dispatched waiting on it, so a broadcast visits only its consumers.
+     Entries of squashed or issued slots go stale instead of being
+     unlinked; a broadcast re-checks each entry (slot valid, operand
+     present, not ready, same tag) before waking it, and rename resets a
+     tag's list when it allocates the tag, so a list never outgrows the
+     consumers dispatched since the tag's last allocation.
+   - Ready list: the valid slots whose present operands are all ready,
+     unordered, with a per-slot position for O(1) removal. Select orders
+     it by ring distance from [head]; [young], the youngest valid slot,
+     gives the extent of the oldest-first sweep the hardware performs
+     (the [Select_scan] integrand) without walking it.
+   - Operand counters: present, waiting (present and not ready) and
+     predicted-waiting operands of valid entries, kept exact at
+     dispatch, wakeup, issue and squash, so a broadcast prices all three
+     Figure 8 schemes in O(1).
+   The invariant checker recounts all three structures from the raw
+   slot bytes every cycle. *)
 
 type t = {
   size : int;
@@ -61,6 +80,18 @@ type t = {
       (* load-delay policy active: predicted-ready waiting operands pay
          no CAM comparison (counted in [wakeups_suppressed] instead of
          [wakeups_gated]) *)
+  (* event-driven wakeup/select state (see the header) *)
+  mutable waiters : int array array;
+      (* per physical tag: operand indices [2*s + j] that dispatched
+         waiting on it; may hold stale entries, re-checked at broadcast *)
+  mutable waiters_len : int array;
+  ready : int array; (* ready list: slots, unordered *)
+  ready_pos : int array; (* slot -> index in [ready]; -1 when absent *)
+  mutable nready : int;
+  mutable young : int; (* youngest valid slot; meaningless when empty *)
+  mutable present_ops : int; (* present operands of valid entries *)
+  mutable waiting_ops : int; (* ... of which not ready *)
+  mutable pred_waiting_ops : int; (* ... of which predicted-ready *)
   (* event counters for the power model *)
   mutable wakeups_gated : int;
   mutable wakeups_suppressed : int;
@@ -95,6 +126,15 @@ let create ~size ~bank_size =
     count = 0;
     new_span = 0;
     suppress_pred = false;
+    waiters = [||];
+    waiters_len = [||];
+    ready = Array.make size 0;
+    ready_pos = Array.make size (-1);
+    nready = 0;
+    young = 0;
+    present_ops = 0;
+    waiting_ops = 0;
+    pred_waiting_ops = 0;
     wakeups_gated = 0;
     wakeups_suppressed = 0;
     wakeups_nonempty = 0;
@@ -158,6 +198,126 @@ let set_slot_free t slot =
     t.live_banks <- t.live_banks - 1
   end
 
+(* --- waiter lists, ready list, operand counters ------------------------- *)
+
+(* Append operand [o] to [tag]'s waiter list, growing the tag table and
+   the list on demand (both double, so appends are amortised O(1)). *)
+let add_waiter t tag o =
+  if tag < 0 then invalid_arg "Iq.dispatch: negative tag";
+  if tag >= Array.length t.waiters_len then begin
+    let n = max (tag + 1) (2 * Array.length t.waiters_len) in
+    let w = Array.make n [||] and l = Array.make n 0 in
+    Array.blit t.waiters 0 w 0 (Array.length t.waiters);
+    Array.blit t.waiters_len 0 l 0 (Array.length t.waiters_len);
+    t.waiters <- w;
+    t.waiters_len <- l
+  end;
+  let n = Array.unsafe_get t.waiters_len tag in
+  let buf = Array.unsafe_get t.waiters tag in
+  let buf =
+    if n < Array.length buf then buf
+    else begin
+      let nb = Array.make (max 4 (2 * n)) 0 in
+      Array.blit buf 0 nb 0 n;
+      Array.unsafe_set t.waiters tag nb;
+      nb
+    end
+  in
+  Array.unsafe_set buf n o;
+  Array.unsafe_set t.waiters_len tag (n + 1)
+
+(* Rename allocated [tag] to a new producer: every consumer of its
+   previous value has issued or been squashed, so whatever the list
+   still holds is stale. *)
+let reset_waiters t tag =
+  if tag < Array.length t.waiters_len then
+    Array.unsafe_set t.waiters_len tag 0
+
+(* Is operand [o] (index [2*s + j]) on [tag]'s waiter list? For the
+   invariant checker. *)
+let waits_on t ~tag o =
+  tag >= 0
+  && tag < Array.length t.waiters_len
+  &&
+  let buf = t.waiters.(tag) in
+  let found = ref false in
+  for i = 0 to t.waiters_len.(tag) - 1 do
+    if buf.(i) = o then found := true
+  done;
+  !found
+
+let ready_add t s =
+  if Array.unsafe_get t.ready_pos s < 0 then begin
+    Array.unsafe_set t.ready t.nready s;
+    Array.unsafe_set t.ready_pos s t.nready;
+    t.nready <- t.nready + 1
+  end
+
+(* Swap-remove: the ready list is unordered, select sorts it. *)
+let ready_remove t s =
+  let i = Array.unsafe_get t.ready_pos s in
+  if i >= 0 then begin
+    let last = t.nready - 1 in
+    let m = Array.unsafe_get t.ready last in
+    Array.unsafe_set t.ready i m;
+    Array.unsafe_set t.ready_pos m i;
+    Array.unsafe_set t.ready_pos s (-1);
+    t.nready <- last
+  end
+
+(* Withdraw a leaving slot's operands from the counters. Its waiter-list
+   entries, if any, go stale in place. *)
+let release_operands t slot =
+  for o = 2 * slot to (2 * slot) + 1 do
+    if Bytes.unsafe_get t.op_present o <> '\000' then begin
+      t.present_ops <- t.present_ops - 1;
+      if Bytes.unsafe_get t.op_ready o = '\000' then begin
+        t.waiting_ops <- t.waiting_ops - 1;
+        if Bytes.unsafe_get t.op_pred o <> '\000' then
+          t.pred_waiting_ops <- t.pred_waiting_ops - 1
+      end
+    end
+  done
+
+(* [slot] just left the queue: if it was the youngest entry, step
+   [young] back to the next valid slot (bounded, so a tampered queue
+   cannot spin). *)
+let settle_young t slot =
+  if slot = t.young && t.count > 0 then begin
+    let p = ref slot in
+    let steps = ref 0 in
+    while !steps < t.active_size && not (slot_valid t !p) do
+      p := (if !p = 0 then t.active_size - 1 else !p - 1);
+      incr steps
+    done;
+    t.young <- !p
+  end
+
+(* Slots an oldest-first sweep from [head] visits before it has seen
+   every valid entry: the ring distance to the youngest valid slot, plus
+   one; 0 when empty. *)
+let occupied_extent t =
+  if t.count = 0 then 0
+  else
+    let d = t.young - t.head in
+    (if d < 0 then d + t.active_size else d) + 1
+
+(* Fill operand [o] of a dispatching slot: a waiting operand joins its
+   tag's waiter list and the counters. *)
+let dispatch_operand t o tag ready pred =
+  Bytes.unsafe_set t.op_present o '\001';
+  Array.unsafe_set t.op_tag o tag;
+  t.present_ops <- t.present_ops + 1;
+  if ready then Bytes.unsafe_set t.op_ready o '\001'
+  else begin
+    t.waiting_ops <- t.waiting_ops + 1;
+    if pred then begin
+      Bytes.unsafe_set t.op_pred o '\001';
+      t.pred_waiting_ops <- t.pred_waiting_ops + 1
+    end;
+    add_waiter t tag o
+  end
+
 (* Dispatch into the tail slot with at most two renamed sources given
    positionally — the zero-allocation path the pipeline uses. [nsrc] is
    the instruction's true source count (capped at 2 for the CAM write
@@ -176,18 +336,10 @@ let dispatch_flat t ~rob_idx ~nsrc ~tag0 ~ready0 ~pred0 ~tag1 ~ready1 ~pred1 =
   Bytes.unsafe_set t.op_pred (o + 1) '\000';
   Array.unsafe_set t.op_tag o (-1);
   Array.unsafe_set t.op_tag (o + 1) (-1);
-  if nsrc >= 1 then begin
-    Bytes.unsafe_set t.op_present o '\001';
-    Array.unsafe_set t.op_tag o tag0;
-    if ready0 then Bytes.unsafe_set t.op_ready o '\001'
-    else if pred0 then Bytes.unsafe_set t.op_pred o '\001'
-  end;
-  if nsrc >= 2 then begin
-    Bytes.unsafe_set t.op_present (o + 1) '\001';
-    Array.unsafe_set t.op_tag (o + 1) tag1;
-    if ready1 then Bytes.unsafe_set t.op_ready (o + 1) '\001'
-    else if pred1 then Bytes.unsafe_set t.op_pred (o + 1) '\001'
-  end;
+  if nsrc >= 1 then dispatch_operand t o tag0 ready0 pred0;
+  if nsrc >= 2 then dispatch_operand t (o + 1) tag1 ready1 pred1;
+  if (nsrc < 1 || ready0) && (nsrc < 2 || ready1) then ready_add t slot;
+  t.young <- slot;
   t.dispatch_cam_writes <-
     t.dispatch_cam_writes + (if nsrc < 2 then nsrc else 2);
   t.dispatch_ram_writes <- t.dispatch_ram_writes + 1;
@@ -211,6 +363,14 @@ let dispatch t ~rob_idx ~ops =
     dispatch_flat t ~rob_idx ~nsrc:2 ~tag0 ~ready0 ~pred0:false ~tag1 ~ready1
       ~pred1:false
 
+(* Free [slot] from every incremental structure. *)
+let vacate t slot =
+  set_slot_free t slot;
+  Array.unsafe_set t.rob_idx slot (-1);
+  t.count <- t.count - 1;
+  release_operands t slot;
+  ready_remove t slot
+
 (* Remove an issued instruction from [slot], updating both head pointers
    exactly as the hardware does. Pointer sweeps are window-bounded rather
    than tail-guarded: comparing against [tail] alone cannot distinguish
@@ -220,9 +380,7 @@ let dispatch t ~rob_idx ~ops =
    entry anywhere, which must exist while [count > 0]. *)
 let issue t slot =
   if not (slot_valid t slot) then invalid_arg "Iq.issue: empty slot";
-  set_slot_free t slot;
-  Array.unsafe_set t.rob_idx slot (-1);
-  t.count <- t.count - 1;
+  vacate t slot;
   t.issue_reads <- t.issue_reads + 1;
   if slot = t.new_head then begin
     let span = t.new_span in
@@ -241,15 +399,16 @@ let issue t slot =
       t.new_span <- t.new_span - !steps
     end
   end;
-  if slot = t.head then
-    if t.count = 0 then t.head <- t.tail
-    else begin
-      let p = ref t.head in
-      while not (slot_valid t !p) do
-        p := (if !p + 1 = t.active_size then 0 else !p + 1)
-      done;
-      t.head <- !p
-    end
+  (if slot = t.head then
+     if t.count = 0 then t.head <- t.tail
+     else begin
+       let p = ref t.head in
+       while not (slot_valid t !p) do
+         p := (if !p + 1 = t.active_size then 0 else !p + 1)
+       done;
+       t.head <- !p
+     end);
+  settle_young t slot
 
 (* Squash removal: free [slot] with no issue accounting and no pointer
    sweeps. A squash discards a contiguous ring suffix (the wrong-path
@@ -258,9 +417,8 @@ let issue t slot =
    sweeping per slot; selection never reads a freed slot in between. *)
 let squash_slot t slot =
   if not (slot_valid t slot) then invalid_arg "Iq.squash_slot: empty slot";
-  set_slot_free t slot;
-  Array.unsafe_set t.rob_idx slot (-1);
-  t.count <- t.count - 1
+  vacate t slot;
+  settle_young t slot
 
 (* Broadcast the destination tags of all results completing this cycle.
    All tags see the same pre-wakeup snapshot, as the parallel CAM ports do
@@ -270,6 +428,9 @@ let squash_slot t slot =
    of a valid entry, once per tag; the naive scheme compares both operand
    CAMs of every slot per tag. Returns how many operands woke.
 
+   The snapshot is the three operand counters, so pricing costs O(1);
+   the wakeups themselves walk only the broadcast tags' waiter lists.
+
    [broadcast_into] is the scratch-array core: the first [ntags] elements
    of [tags] are the broadcast group (the pipeline reuses one array across
    cycles, so the hot path allocates nothing). *)
@@ -278,55 +439,46 @@ let broadcast_into t tags ntags =
   else begin
     t.broadcasts <- t.broadcasts + ntags;
     t.wakeups_naive <- t.wakeups_naive + (2 * t.size * ntags);
+    (* The "nonEmpty" scheme compares every operand of every allocated
+       entry, ready or not; "gated" only the present-and-not-ready ones.
+       Load-delay suppression is energy accounting only: predicted-ready
+       waiting operands are counted as suppressed rather than gated, but
+       they still wake below, so wakeup timing is policy-independent. *)
+    let sup = if t.suppress_pred then t.pred_waiting_ops else 0 in
+    t.wakeups_nonempty <- t.wakeups_nonempty + (t.present_ops * ntags);
+    t.wakeups_gated <- t.wakeups_gated + ((t.waiting_ops - sup) * ntags);
+    t.wakeups_suppressed <- t.wakeups_suppressed + (sup * ntags);
     let matched = ref 0 in
-    let nonempty = ref 0 and gated = ref 0 and suppressed = ref 0 in
-    (* Sweep the ring over the valid entries only (count-bounded, like
-       the select sweep) instead of scanning every slot: occupancy is
-       typically far below capacity. Counting is order-independent, so
-       this visits exactly the operands the full scan would. The
-       "nonEmpty" scheme compares every operand of every allocated
-       entry, ready or not; "gated" only the present-and-not-ready
-       ones. *)
-    let pos = ref t.head in
-    let remaining = ref t.count in
-    let steps = ref 0 in
-    let sup = t.suppress_pred in
-    while !remaining > 0 && !steps < t.active_size do
-      let s = !pos in
-      if Bytes.unsafe_get t.valid s <> '\000' then begin
-        decr remaining;
-        for o = 2 * s to (2 * s) + 1 do
-          if Bytes.unsafe_get t.op_present o <> '\000' then begin
-            incr nonempty;
-            if Bytes.unsafe_get t.op_ready o = '\000' then begin
-              (* Load-delay suppression is energy accounting only: a
-                 predicted-ready operand's comparison is counted as
-                 suppressed rather than gated, but the tag match below
-                 still runs, so wakeup timing is policy-independent. *)
-              if sup && Bytes.unsafe_get t.op_pred o <> '\000'
-              then incr suppressed
-              else incr gated;
-              let tag = Array.unsafe_get t.op_tag o in
-              let hit = ref false in
-              let k = ref 0 in
-              while (not !hit) && !k < ntags do
-                if Array.unsafe_get tags !k = tag then hit := true;
-                incr k
-              done;
-              if !hit then begin
-                Bytes.unsafe_set t.op_ready o '\001';
-                incr matched
-              end
-            end
+    for k = 0 to ntags - 1 do
+      let tag = Array.unsafe_get tags k in
+      if tag >= 0 && tag < Array.length t.waiters_len then begin
+        let n = Array.unsafe_get t.waiters_len tag in
+        let buf = Array.unsafe_get t.waiters tag in
+        Array.unsafe_set t.waiters_len tag 0;
+        for i = 0 to n - 1 do
+          let o = Array.unsafe_get buf i in
+          (* Stale entries (the slot left, or was refilled by an operand
+             waiting elsewhere or already woken) fail this test. *)
+          if
+            Bytes.unsafe_get t.valid (o lsr 1) <> '\000'
+            && Bytes.unsafe_get t.op_present o <> '\000'
+            && Bytes.unsafe_get t.op_ready o = '\000'
+            && Array.unsafe_get t.op_tag o = tag
+          then begin
+            Bytes.unsafe_set t.op_ready o '\001';
+            incr matched;
+            t.waiting_ops <- t.waiting_ops - 1;
+            if Bytes.unsafe_get t.op_pred o <> '\000' then
+              t.pred_waiting_ops <- t.pred_waiting_ops - 1;
+            let m = o lxor 1 in
+            if
+              Bytes.unsafe_get t.op_present m = '\000'
+              || Bytes.unsafe_get t.op_ready m <> '\000'
+            then ready_add t (o lsr 1)
           end
         done
-      end;
-      incr steps;
-      pos := (if s + 1 = t.active_size then 0 else s + 1)
+      end
     done;
-    t.wakeups_nonempty <- t.wakeups_nonempty + (!nonempty * ntags);
-    t.wakeups_gated <- t.wakeups_gated + (!gated * ntags);
-    t.wakeups_suppressed <- t.wakeups_suppressed + (!suppressed * ntags);
     !matched
   end
 
@@ -439,12 +591,30 @@ let recount_banks_on t =
   done;
   !on
 
-(* Test-only state tampering: mutate raw slot bytes with *no* bookkeeping
-   (count, bank_live and pointers are left stale), simulating hardware
-   corruption the invariant checker must catch. *)
+(* Test-only state tampering: mutate raw slot state with *no*
+   bookkeeping, simulating hardware corruption the invariant checker must
+   catch. Each function breaks exactly one structure. *)
 module Raw = struct
+  (* [count], [bank_live], pointers, counters and lists left stale. *)
   let set_valid t s v = Bytes.set t.valid s (if v then '\001' else '\000')
 
+  (* The operand counters follow the flipped mark, as a recount would:
+     the sabotage targets the mark's soundness, not the counters. *)
   let set_pred t s j v =
-    Bytes.set t.op_pred ((2 * s) + j) (if v then '\001' else '\000')
+    let o = (2 * s) + j in
+    let was = Bytes.get t.op_pred o <> '\000' in
+    if
+      was <> v && slot_valid t s
+      && Bytes.get t.op_present o <> '\000'
+      && Bytes.get t.op_ready o = '\000'
+    then
+      t.pred_waiting_ops <- (t.pred_waiting_ops + if v then 1 else -1);
+    Bytes.set t.op_pred o (if v then '\001' else '\000')
+
+  (* Counters left stale. *)
+  let set_ready t s j v =
+    Bytes.set t.op_ready ((2 * s) + j) (if v then '\001' else '\000')
+
+  let drop_ready t s = ready_remove t s
+  let clear_waiters t tag = reset_waiters t tag
 end

@@ -16,7 +16,13 @@
     Slot state is stored flat (DESIGN.md §13): [valid]/operand flags as
     bytes, tags and ROB indices as unboxed int arrays, operand [j] of
     slot [s] at index [2*s + j]. Read per-slot state through the
-    [slot_*]/[op_*] accessors. *)
+    [slot_*]/[op_*] accessors.
+
+    Wakeup and select never scan the slots (DESIGN.md §13.1): per-tag
+    waiter lists name each broadcast's consumers, a ready list holds the
+    issueable slots, and three operand counters (present, waiting,
+    predicted-waiting) price a broadcast in O(1). The invariant checker
+    recounts all three from the slot bytes. *)
 
 type t = {
   size : int;
@@ -47,6 +53,19 @@ type t = {
   mutable suppress_pred : bool;
       (** load-delay policy active: predicted-ready waiting operands are
           counted in [wakeups_suppressed] instead of [wakeups_gated] *)
+  mutable waiters : int array array;
+      (** per physical tag: operand indices [2*s + j] that dispatched
+          waiting on it (possibly stale; see {!waits_on}) *)
+  mutable waiters_len : int array;
+  ready : int array;  (** ready list: the first [nready] are slots *)
+  ready_pos : int array;  (** slot → index in [ready]; [-1] when absent *)
+  mutable nready : int;
+  mutable young : int;
+      (** youngest valid slot (meaningless when the queue is empty) *)
+  mutable present_ops : int;  (** present operands of valid entries *)
+  mutable waiting_ops : int;  (** ... of which not ready *)
+  mutable pred_waiting_ops : int;
+      (** ... of which also marked predicted-ready *)
   mutable wakeups_gated : int;
   mutable wakeups_suppressed : int;
   mutable wakeups_nonempty : int;
@@ -93,6 +112,21 @@ val dispatch_flat :
 (** Remove an issued instruction, sweeping [head]/[new_head] forward
     exactly as the hardware does. *)
 val issue : t -> int -> unit
+
+(** Rename allocated physical tag [tag] to a new producer: drop its
+    waiter list (every consumer of the previous value has left the
+    queue, so only stale entries remain). *)
+val reset_waiters : t -> int -> unit
+
+(** Whether operand index [o] ([2*s + j]) is on [tag]'s waiter list —
+    the invariant checker's completeness audit. *)
+val waits_on : t -> tag:int -> int -> bool
+
+(** Slots an oldest-first sweep from [head] examines before it has seen
+    every valid entry: ring distance to the youngest valid slot plus
+    one, 0 when empty. The select scan's extent before any policy
+    bound. *)
+val occupied_extent : t -> int
 
 (** Squash removal: free a slot with no issue accounting and no pointer
     sweeps — a squash discards a contiguous ring suffix, so the caller
@@ -151,11 +185,22 @@ val resize : t -> int -> bool
 val active_size : t -> int
 
 (** Test-only tampering: raw slot mutation with no bookkeeping, for
-    exercising the invariant checker. *)
+    exercising the invariant checker. Each function breaks one
+    structure. *)
 module Raw : sig
   val set_valid : t -> int -> bool -> unit
 
   (** Flip operand [j] of slot [s]'s predicted-ready bit — sabotage for
-      the checker's ready-suppression invariant. *)
+      the checker's ready-suppression invariant. The operand counters
+      follow the flip, so only the mark's soundness is broken. *)
   val set_pred : t -> int -> int -> bool -> unit
+
+  (** Flip operand [j] of slot [s]'s ready bit, counters left stale. *)
+  val set_ready : t -> int -> int -> bool -> unit
+
+  (** Drop slot [s] from the ready list. *)
+  val drop_ready : t -> int -> unit
+
+  (** Empty physical tag [tag]'s waiter list. *)
+  val clear_waiters : t -> int -> unit
 end

@@ -39,7 +39,20 @@
    Hot-loop storage is flat (DESIGN.md §13): the fetch queue is a ring
    over parallel arrays, completions sit in a cycle-indexed timing wheel,
    unpipelined-FU occupancy is a per-class array of release cycles, and
-   writeback/issue reuse preallocated scratch arrays across cycles. *)
+   writeback/issue reuse preallocated scratch arrays across cycles.
+
+   The no-sink hot loop does work in proportion to events, not to queue
+   occupancy times cycles (DESIGN.md §13.1):
+   - wakeup walks only the broadcast tags' IQ waiter lists, and select
+     only the IQ's ready list, ordered by ring distance from [head];
+     the IQ's operand counters price each broadcast in O(1);
+   - a quiet cycle — one that changed nothing but statistics — is
+     repeated exactly by every cycle up to the next time trigger (a
+     completion in the wheel, [fetch_resume_at], the fetch-queue head
+     finishing decode, an unpipelined unit's release, the adaptive
+     policy's window boundary), so [step_cycle] jumps there and folds
+     the skipped cycles into the statistics. No skipping while any sink
+     is subscribed: a per-cycle observer sees every cycle. *)
 
 open Sdiq_isa
 module Ev = Sdiq_events.Event
@@ -89,6 +102,7 @@ type t = {
   mutable wheel : int array array;
   mutable wheel_len : int array;
   mutable wheel_cycle : int array;
+  mutable wheel_pending : int; (* completions scheduled, not yet written back *)
   (* functional units: count per class and, for unpipelined ops, the
      release cycle of each unit instance *)
   fu_counts : int array;
@@ -96,14 +110,16 @@ type t = {
   (* per-cycle scratch, reused so the hot loop allocates nothing *)
   avail : int array; (* issue slots left per FU class *)
   wb_tags : int array; (* result tags broadcast this cycle *)
-  cand_slot : int array; (* ready IQ slots, oldest first *)
-  cand_rob : int array;
+  cand_slot : int array; (* select candidates, oldest first *)
+  cand_dist : int array; (* their ring distances from the IQ head *)
   mutable cycle : int;
   mutable halted : bool;
   mutable fetch_hold : bool;
       (* sampled simulation: fetch is held while the machine drains
          before a functional fast-forward; in-flight work keeps flowing *)
   mutable fetch_resume_at : int;
+  mutable probe_cycle : int; (* cycle of the last ITLB/IL1 fetch probe *)
+  mutable probe_pc : int; (* ... and the pc it probed *)
   mutable blocked_sn : int; (* unresolved mispredict sn; -1 = none *)
   (* wrong-path (speculative fetch) episode state. One episode at a time:
      fetch follows the predicted path of the unresolved mispredict at
@@ -244,22 +260,24 @@ let emit_dispatch t dyn ~kind ~iq_slot ~rob_idx ~cam_writes ~wp =
     | Ev.Store -> st.Stats.stores <- st.Stats.stores + 1
   end
 
+(* [n] [Dispatch_stall reason] events' worth of statistics: one per
+   stalled cycle, or a whole run of skipped quiet cycles. *)
+let add_dispatch_stalls (st : Stats.t) reason n =
+  match reason with
+  | Ev.Policy_limit ->
+    st.Stats.dispatch_stall_policy <- st.Stats.dispatch_stall_policy + n
+  | Ev.Iq_full ->
+    st.Stats.dispatch_stall_iq_full <- st.Stats.dispatch_stall_iq_full + n
+  | Ev.Rob_full ->
+    st.Stats.dispatch_stall_rob_full <- st.Stats.dispatch_stall_rob_full + n
+  | Ev.No_reg ->
+    st.Stats.dispatch_stall_no_reg <- st.Stats.dispatch_stall_no_reg + n
+  | Ev.Lsq_full ->
+    st.Stats.dispatch_stall_lsq_full <- st.Stats.dispatch_stall_lsq_full + n
+
 let emit_dispatch_stall t reason =
   if t.bus_on then emit t (Ev.Dispatch_stall reason)
-  else begin
-    let st = t.stats in
-    match reason with
-    | Ev.Policy_limit ->
-      st.Stats.dispatch_stall_policy <- st.Stats.dispatch_stall_policy + 1
-    | Ev.Iq_full ->
-      st.Stats.dispatch_stall_iq_full <- st.Stats.dispatch_stall_iq_full + 1
-    | Ev.Rob_full ->
-      st.Stats.dispatch_stall_rob_full <- st.Stats.dispatch_stall_rob_full + 1
-    | Ev.No_reg ->
-      st.Stats.dispatch_stall_no_reg <- st.Stats.dispatch_stall_no_reg + 1
-    | Ev.Lsq_full ->
-      st.Stats.dispatch_stall_lsq_full <- st.Stats.dispatch_stall_lsq_full + 1
-  end
+  else add_dispatch_stalls t.stats reason 1
 
 let emit_squash t dyn ~squashed =
   if t.bus_on then emit t (Ev.Squash { dyn; squashed })
@@ -447,6 +465,7 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
       wheel = Array.make wheel_size [||];
       wheel_len = Array.make wheel_size 0;
       wheel_cycle = Array.make wheel_size (-1);
+      wheel_pending = 0;
       fu_counts;
       fu_release =
         Array.init Fu.count_classes (fun k ->
@@ -454,11 +473,13 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
       avail = Array.make Fu.count_classes 0;
       wb_tags = Array.make config.Config.rob_size 0;
       cand_slot = Array.make config.Config.iq_size 0;
-      cand_rob = Array.make config.Config.iq_size 0;
+      cand_dist = Array.make config.Config.iq_size 0;
       cycle = 0;
       halted = false;
       fetch_hold = false;
       fetch_resume_at = 0;
+      probe_cycle = -1;
+      probe_pc = -1;
       blocked_sn = -1;
       wp_mode = false;
       wp_pc = -1;
@@ -641,7 +662,8 @@ let squash_wrong_path t bidx =
             incr k
           end
         done;
-        t.wheel_len.(c) <- !k
+        t.wheel_len.(c) <- !k;
+        t.wheel_pending <- t.wheel_pending - (n - !k)
       end
     done;
     Bytes.fill t.squash_mark 0 (Bytes.length t.squash_mark) '\000'
@@ -681,6 +703,7 @@ let writeback_stage t =
     let idxs = t.wheel.(cell) in
     let n = t.wheel_len.(cell) in
     t.wheel_len.(cell) <- 0;
+    t.wheel_pending <- t.wheel_pending - n;
     let resolved = ref (-1) in
     (* Oldest first, deterministically: scheduling order. All results
        completing this cycle broadcast together so wakeup counting sees
@@ -786,7 +809,8 @@ let rec schedule_completion t idx latency =
       end
     in
     buf.(n) <- idx;
-    t.wheel_len.(cell) <- n + 1
+    t.wheel_len.(cell) <- n + 1;
+    t.wheel_pending <- t.wheel_pending + 1
   end
 
 (* For a load at ROB index [idx] with address [addr]: the ROB index of
@@ -861,54 +885,50 @@ let issue_stage t =
       done;
       t.avail.(k) <- max 0 (t.fu_counts.(k) - !busy)
     done;
-  (* Collect ready entries oldest-first into scratch, then try each: an
-     inline ring walk over the valid entries (direct flat-field reads,
-     no closure — the [Iq.slot_ready] sweep is the hottest loop in the
-     machine). *)
+  (* Select: the ready list, filtered to live slots inside the policy's
+     scan bound and ordered by ring distance from [head] (oldest first)
+     by insertion into scratch — the list is a handful of entries long.
+     The scheduler policy bounds the hardware's oldest-first sweep:
+     oldest_first and load_delay examine the whole active ring; nskip:N
+     stops after N slots from [head] (holes included). The sweep ends as
+     soon as every valid entry has been seen, so the slots it examines —
+     the [Select_scan] integrand — are the occupied extent capped at the
+     bound. [t.scan_limit] is [Sched.scan_bound] pre-resolved at
+     creation. *)
   let iq = t.iq in
   let ncand = ref 0 in
-  let pos = ref iq.Iq.head in
-  let remaining = ref iq.Iq.count in
-  let steps = ref 0 in
-  let active = iq.Iq.active_size in
-  (* The scheduler policy bounds the sweep: oldest_first and load_delay
-     examine the whole active ring; nskip:N stops after N slots from
-     [head] (holes included). The count-bounded walk still ends as soon
-     as every valid entry has been seen, so [steps] at loop exit is the
-     number of slots the select logic actually examined — the
-     [Select_scan] integrand. [t.scan_limit] is [Sched.scan_bound]
-     pre-resolved at creation (this loop is the machine's hottest). *)
-  let bound = if t.scan_limit < active then t.scan_limit else active in
-  while !remaining > 0 && !steps < bound do
-    let s = !pos in
-    if Bytes.unsafe_get iq.Iq.valid s <> '\000' then begin
-      decr remaining;
-      let o = 2 * s in
-      if
-        (Bytes.unsafe_get iq.Iq.op_present o = '\000'
-        || Bytes.unsafe_get iq.Iq.op_ready o <> '\000')
-        && (Bytes.unsafe_get iq.Iq.op_present (o + 1) = '\000'
-           || Bytes.unsafe_get iq.Iq.op_ready (o + 1) <> '\000')
-      then begin
-        t.cand_slot.(!ncand) <- s;
-        t.cand_rob.(!ncand) <- Array.unsafe_get iq.Iq.rob_idx s;
-        incr ncand
+  let extent = Iq.occupied_extent iq in
+  if extent > 0 then begin
+    let active = iq.Iq.active_size in
+    let bound = if t.scan_limit < active then t.scan_limit else active in
+    let head = iq.Iq.head in
+    for i = 0 to iq.Iq.nready - 1 do
+      let s = Array.unsafe_get iq.Iq.ready i in
+      if Bytes.unsafe_get iq.Iq.valid s <> '\000' then begin
+        let d = if s >= head then s - head else s - head + active in
+        if d < bound then begin
+          let j = ref !ncand in
+          while !j > 0 && Array.unsafe_get t.cand_dist (!j - 1) > d do
+            Array.unsafe_set t.cand_dist !j
+              (Array.unsafe_get t.cand_dist (!j - 1));
+            Array.unsafe_set t.cand_slot !j
+              (Array.unsafe_get t.cand_slot (!j - 1));
+            decr j
+          done;
+          Array.unsafe_set t.cand_dist !j d;
+          Array.unsafe_set t.cand_slot !j s;
+          incr ncand
+        end
       end
-    end;
-    incr steps;
-    pos := (if s + 1 = active then 0 else s + 1)
-  done;
-  (if !steps > 0 then
-     if t.bus_on then emit_select_scan t ~entries:!steps
-     else
-       t.stats.Stats.iq_scan_entries <-
-         t.stats.Stats.iq_scan_entries + !steps);
+    done;
+    emit_select_scan t ~entries:(if extent < bound then extent else bound)
+  end;
   let ncand = !ncand in
   let width = ref t.cfg.Config.issue_width in
   for c = 0 to ncand - 1 do
     if !width > 0 then begin
       let slot = t.cand_slot.(c) in
-      let rob_idx = t.cand_rob.(c) in
+      let rob_idx = Iq.slot_rob_idx iq slot in
       let dyn = Rob.dyn t.rob rob_idx in
       let i = dyn.Exec.instr in
       let cls = Instr.fu_class i in
@@ -975,6 +995,24 @@ type dispatch_stop =
   | Stop_no_reg
   | Stop_lsq_full
 
+(* The stall a stop reports; running out of dispatch slots or of
+   decoded instructions reports none. *)
+let stall_reason = function
+  | Keep_going -> None
+  | Stop_policy -> Some Ev.Policy_limit
+  | Stop_iq_full -> Some Ev.Iq_full
+  | Stop_rob_full -> Some Ev.Rob_full
+  | Stop_no_reg -> Some Ev.No_reg
+  | Stop_lsq_full -> Some Ev.Lsq_full
+
+(* "Throttled" feeds the adaptive policy's pressure signal: a stall on a
+   physically shrunken ring counts as pressure just like an explicit
+   policy refusal. *)
+let throttled t = function
+  | Stop_policy -> true
+  | Stop_iq_full -> Iq.active_size t.iq < Iq.size t.iq
+  | Keep_going | Stop_rob_full | Stop_no_reg | Stop_lsq_full -> false
+
 (* Rename one source: the physical tag and readiness packed into
    [(tag lsl 1) lor ready]; -1 when the operand is absent (no register,
    or the hardwired zero). *)
@@ -989,7 +1027,8 @@ let src_code t r =
     (fp_tag t p lsl 1) lor (if Regfile.is_ready t.fp_rf p then 1 else 0)
 
 (* Rename the destination; returns [(dest_code lsl 20) lor old_code] in
-   Rob's packed encoding, or -1 when no register is free. *)
+   Rob's packed encoding, or -1 when no register is free. The new tag's
+   IQ waiter list starts empty. *)
 let rename_dest_codes t (i : Instr.t) =
   match i.Instr.dst with
   | Some (Reg.Int 0) | None -> 0 (* zero-register writes are discarded *)
@@ -997,6 +1036,7 @@ let rename_dest_codes t (i : Instr.t) =
     let p = Regfile.alloc_idx t.int_rf in
     if p < 0 then -1
     else begin
+      Iq.reset_waiters t.iq (int_tag p);
       let old = t.int_map.(a) in
       t.int_map.(a) <- p;
       (((2 * p) + 1) lsl 20) lor ((2 * old) + 1)
@@ -1005,6 +1045,7 @@ let rename_dest_codes t (i : Instr.t) =
     let p = Regfile.alloc_idx t.fp_rf in
     if p < 0 then -1
     else begin
+      Iq.reset_waiters t.iq (fp_tag t p);
       let old = t.fp_map.(a) in
       t.fp_map.(a) <- p;
       (((2 * p) + 2) lsl 20) lor ((2 * old) + 2)
@@ -1155,20 +1196,10 @@ let dispatch_stage t =
         stop := s;
         go := false)
   done;
-  (match !stop with
-  | Keep_going -> ()
-  | Stop_policy -> emit_dispatch_stall t Ev.Policy_limit
-  | Stop_iq_full -> emit_dispatch_stall t Ev.Iq_full
-  | Stop_rob_full -> emit_dispatch_stall t Ev.Rob_full
-  | Stop_no_reg -> emit_dispatch_stall t Ev.No_reg
-  | Stop_lsq_full -> emit_dispatch_stall t Ev.Lsq_full);
-  (* "Throttled" feeds the adaptive policy's pressure signal: a stall on a
-     physically shrunken ring counts as pressure just like an explicit
-     policy refusal. *)
-  match !stop with
-  | Stop_policy -> true
-  | Stop_iq_full -> Iq.active_size t.iq < Iq.size t.iq
-  | Keep_going | Stop_rob_full | Stop_no_reg | Stop_lsq_full -> false
+  (match stall_reason !stop with
+  | Some reason -> emit_dispatch_stall t reason
+  | None -> ());
+  !stop
 
 (* --- fetch ------------------------------------------------------------- *)
 
@@ -1186,8 +1217,12 @@ let fq_push t dyn =
    [start_pc]: ITLB first, then IL1 (with L2 refill). [Some delay]
    stalls fetch; the TLB installs on its miss, so the penalty is paid
    once per missing page. Shared by the correct- and wrong-path fetch
-   stages — wrong-path misses pollute and prefetch for real. *)
+   stages — wrong-path misses pollute and prefetch for real. The probe
+   is recorded: with the fetch queue full it is the only thing fetch
+   does, and a skipped quiet cycle must replay it. *)
 let ifetch_stall t start_pc =
+  t.probe_cycle <- t.cycle;
+  t.probe_pc <- start_pc;
   if not (Tlb.access t.itlb (start_pc * 4)) then begin
     emit_tlb_miss t Ev.Itlb (start_pc * 4);
     Some t.cfg.Config.tlb_miss_penalty
@@ -1641,29 +1676,32 @@ let emit_bank_transitions t ~unit_ ~prev ~cur =
     done
   end
 
+(* [n] cycles' worth of the per-cycle power integrands at the current
+   state: the inline mirror of [Stats.absorb]'s [Cycle_end] clause, for
+   one executed cycle or a run of skipped quiet ones. *)
+let add_integrands t n =
+  let st = t.stats in
+  st.Stats.iq_occupancy_sum <- st.Stats.iq_occupancy_sum + (n * Iq.occupancy t.iq);
+  st.Stats.iq_banks_on_sum <- st.Stats.iq_banks_on_sum + (n * Iq.banks_on t.iq);
+  st.Stats.int_rf_banks_on_sum <-
+    st.Stats.int_rf_banks_on_sum + (n * Regfile.banks_on t.int_rf);
+  st.Stats.int_rf_live_sum <-
+    st.Stats.int_rf_live_sum + (n * Regfile.live_count t.int_rf);
+  st.Stats.fp_rf_banks_on_sum <-
+    st.Stats.fp_rf_banks_on_sum + (n * Regfile.banks_on t.fp_rf)
+
 let cycle_end_stage t ~throttled =
   let iq_mask = Iq.banks_on_mask t.iq in
   let int_mask = Regfile.banks_on_mask t.int_rf in
   let fp_mask = Regfile.banks_on_mask t.fp_rf in
-  let iq_occupancy = Iq.occupancy t.iq in
-  let iq_banks_on = Iq.banks_on t.iq in
-  let int_rf_banks_on = Regfile.banks_on t.int_rf in
-  let int_rf_live = Regfile.live_count t.int_rf in
-  let fp_rf_banks_on = Regfile.banks_on t.fp_rf in
-  (* Fold the integrand into the pipeline's own stats first (the inline
-     mirror of [Stats.absorb]'s [Cycle_end] clause): a [Cycle_end] sink
-     must read fully-updated per-cycle sums. *)
-  let st = t.stats in
-  st.Stats.cycles <- t.cycle + 1;
-  st.Stats.iq_occupancy_sum <- st.Stats.iq_occupancy_sum + iq_occupancy;
-  st.Stats.iq_banks_on_sum <- st.Stats.iq_banks_on_sum + iq_banks_on;
-  st.Stats.int_rf_banks_on_sum <-
-    st.Stats.int_rf_banks_on_sum + int_rf_banks_on;
-  st.Stats.int_rf_live_sum <- st.Stats.int_rf_live_sum + int_rf_live;
-  st.Stats.fp_rf_banks_on_sum <- st.Stats.fp_rf_banks_on_sum + fp_rf_banks_on;
+  (* Fold the integrands into the pipeline's own stats first: a
+     [Cycle_end] sink must read fully-updated per-cycle sums. *)
+  t.stats.Stats.cycles <- t.cycle + 1;
+  add_integrands t 1;
   (* The policy's end-of-cycle action (the adaptive scheme senses
      pressure and resizes here). A resize only drops/adds empty banks,
-     so the masks captured above are unaffected. *)
+     so neither the masks captured above nor the integrands the
+     [Cycle_end] event reads below change. *)
   let size_before = Iq.active_size t.iq in
   Policy.end_cycle t.policy t.iq ~resize_ok:(not t.wp_mode) ~throttled ();
   t.cycle <- t.cycle + 1;
@@ -1686,11 +1724,11 @@ let cycle_end_stage t ~throttled =
          {
            cycle = t.cycle - 1;
            throttled;
-           iq_occupancy;
-           iq_banks_on;
-           int_rf_banks_on;
-           int_rf_live;
-           fp_rf_banks_on;
+           iq_occupancy = Iq.occupancy t.iq;
+           iq_banks_on = Iq.banks_on t.iq;
+           int_rf_banks_on = Regfile.banks_on t.int_rf;
+           int_rf_live = Regfile.live_count t.int_rf;
+           fp_rf_banks_on = Regfile.banks_on t.fp_rf;
          })
   end;
   t.prev_iq_bank_mask <- iq_mask;
@@ -1701,13 +1739,117 @@ let cycle_end_stage t ~throttled =
 
 let drained t = t.halted && Rob.is_empty t.rob && t.fq_count = 0
 
-let step_cycle t =
+let cycle_stages t =
   commit_stage t;
   writeback_stage t;
   issue_stage t;
-  let throttled = dispatch_stage t in
+  let stop = dispatch_stage t in
   fetch_stage t;
-  cycle_end_stage t ~throttled
+  cycle_end_stage t ~throttled:(throttled t stop);
+  stop
+
+(* --- quiet-cycle skipping ------------------------------------------------ *)
+
+(* A cycle is quiet when it changed nothing but statistics: nothing
+   committed, completed, issued, dispatched or fetched, no Iqset left the
+   fetch queue, no frontend stall was set or cleared, and the policy kept
+   its limit and the ring its size. The cycles after a quiet cycle [c]
+   then repeat it exactly — the same select scan, dispatch stall, fetch
+   probe and end-of-cycle integrands — until the first time trigger,
+   the one thing that differs between them:
+   - the earliest completion in the timing wheel;
+   - [fetch_resume_at];
+   - the cycle the fetch-queue head finishes decoding;
+   - the release of an unpipelined functional unit;
+   - the adaptive policy's sensing-window boundary.
+   Triggers are compared against [c], the cycle just executed ([t.cycle]
+   has already moved past it); a trigger that did not apply to [c] only
+   ends the skip early, which is always exact. The horizon never
+   exceeds [limit]. *)
+let quiet_horizon t c limit =
+  let h = ref limit in
+  let at x = if x > c && x < !h then h := x in
+  at t.fetch_resume_at;
+  if t.fq_count > 0 then at t.fq_ready.(t.fq_head);
+  if t.unpipe_busy_until > c then
+    Array.iter (Array.iter at) t.fu_release;
+  (let f = Policy.foldable_cycles t.policy in
+   if f < max_int then at (c + 1 + f));
+  if t.wheel_pending > 0 then begin
+    let mask = Array.length t.wheel - 1 in
+    let x = ref (c + 1) in
+    while
+      !x < !h
+      && not
+           (t.wheel_len.(!x land mask) > 0
+           && t.wheel_cycle.(!x land mask) = !x)
+    do
+      incr x
+    done;
+    h := !x
+  end;
+  !h
+
+(* Fold [k] repeats of the quiet cycle just executed into the machine:
+   its statistics, its fetch probe, the policy's per-cycle sensing. *)
+let skip_quiet t k ~stop ~scan ~probed =
+  let st = t.stats in
+  st.Stats.iq_scan_entries <- st.Stats.iq_scan_entries + (k * scan);
+  (match stall_reason stop with
+  | Some reason -> add_dispatch_stalls st reason k
+  | None -> ());
+  (* With the fetch queue full, fetch only probes the ITLB and IL1; the
+     probe hit (a miss would have set [fetch_resume_at]) and hits again,
+     touching LRU state, so it is replayed. *)
+  if probed then
+    for _ = 1 to k do
+      ignore (ifetch_stall t t.probe_pc : int option)
+    done;
+  Policy.fold_cycles t.policy t.iq ~throttled:(throttled t stop) k;
+  add_integrands t k;
+  t.cycle <- t.cycle + k;
+  st.Stats.cycles <- t.cycle
+
+let step_cycle ?(limit = max_int) t =
+  if t.bus_on then ignore (cycle_stages t : dispatch_stop)
+  else begin
+    let c = t.cycle in
+    let st = t.stats and iq = t.iq in
+    let committed = st.Stats.committed
+    and fetched = st.Stats.fetched
+    and issued = iq.Iq.issue_reads
+    and pending = t.wheel_pending
+    and fq = t.fq_count
+    and rob = Rob.occupancy t.rob
+    and occupancy = iq.Iq.count
+    and resume = t.fetch_resume_at
+    and halted = t.halted
+    and wp_pc = t.wp_pc
+    and active = iq.Iq.active_size
+    and policy_limit = Policy.current_limit t.policy iq
+    and scan = st.Stats.iq_scan_entries in
+    let stop = cycle_stages t in
+    if
+      st.Stats.committed = committed
+      && st.Stats.fetched = fetched
+      && iq.Iq.issue_reads = issued
+      && t.wheel_pending = pending
+      && t.fq_count = fq
+      && Rob.occupancy t.rob = rob
+      && iq.Iq.count = occupancy
+      && t.fetch_resume_at = resume
+      && t.halted = halted
+      && t.wp_pc = wp_pc
+      && iq.Iq.active_size = active
+      && Policy.current_limit t.policy iq = policy_limit
+    then begin
+      let h = quiet_horizon t c limit in
+      if h > t.cycle && h < max_int then
+        skip_quiet t (h - t.cycle) ~stop
+          ~scan:(st.Stats.iq_scan_entries - scan)
+          ~probed:(t.probe_cycle = c)
+    end
+  end
 
 (* Run until the program drains or [max_insns] instructions have
    committed. Raises [Simulation_limit] after [max_cycles] as a deadlock
@@ -1722,7 +1864,7 @@ let run ?(max_insns = max_int) ?(max_cycles = 200_000_000) t =
            (Printf.sprintf
               "no progress: %d cycles, %d committed (policy %s)"
               t.cycle t.stats.Stats.committed (Policy.name t.policy)));
-    step_cycle t
+    step_cycle ~limit:max_cycles t
   done;
   t.stats
 
@@ -1740,7 +1882,7 @@ let drain ?(max_cycles = 1_000_000) t =
   t.fetch_hold <- true;
   let deadline = t.cycle + max_cycles in
   while (not (in_flight_empty t)) && t.cycle < deadline do
-    step_cycle t
+    step_cycle ~limit:deadline t
   done;
   if not (in_flight_empty t) then
     raise

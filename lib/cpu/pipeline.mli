@@ -68,18 +68,24 @@ type t = {
       (** completion timing wheel: ROB indices per completion cycle *)
   mutable wheel_len : int array;
   mutable wheel_cycle : int array;
+  mutable wheel_pending : int;
+      (** completions scheduled and not yet written back *)
   fu_counts : int array;
   fu_release : int array array;
       (** per-class release cycles of unpipelined unit instances *)
   avail : int array;
   wb_tags : int array;
   cand_slot : int array;
-  cand_rob : int array;
+  cand_dist : int array;
   mutable cycle : int;
   mutable halted : bool;
   mutable fetch_hold : bool;
       (** fetch suspended for sampled simulation; in-flight work flows *)
   mutable fetch_resume_at : int;
+  mutable probe_cycle : int;
+      (** cycle of the last ITLB/IL1 fetch probe, replayed over skipped
+          quiet cycles *)
+  mutable probe_pc : int;  (** the pc it probed *)
   mutable blocked_sn : int;
       (** sequence number fetch is stalled on; [-1] when not stalled *)
   mutable wp_mode : bool;
@@ -145,8 +151,25 @@ val on_cycle_end : ?name:string -> t -> (t -> unit) -> unit
 val on_commit_sink : ?name:string -> t -> (Sdiq_isa.Exec.dyn -> unit) -> unit
 
 (** Advance one cycle (commit, writeback, issue, dispatch, fetch, then
-    the end-of-cycle accounting fold and [Cycle_end] delivery). *)
-val step_cycle : t -> unit
+    the end-of-cycle accounting fold and [Cycle_end] delivery).
+
+    Quiet-cycle contract: with no sink subscribed, a cycle that changed
+    nothing but statistics (nothing committed, completed, issued,
+    dispatched or fetched, no fetch-queue, ROB or IQ occupancy change,
+    no frontend stall set or cleared, policy limit and ring size kept)
+    is repeated exactly by every following cycle up to the next time
+    trigger — the earliest completion in the timing wheel,
+    [fetch_resume_at], the cycle the fetch-queue head finishes decoding,
+    an unpipelined functional unit's release, or the adaptive policy's
+    sensing-window boundary — so the call jumps [cycle] straight to that
+    trigger, folding the skipped cycles into {!Stats.t} (cycle-end
+    integrands, select-scan entries, the repeated dispatch stall) and
+    replaying their ITLB/IL1 fetch probe. The jump never passes [limit]
+    (default: unbounded, with no jump when no trigger is pending), which
+    is how {!run} and {!drain} keep their cycle guards exact. While any
+    sink is subscribed every call advances exactly one cycle, so a
+    per-cycle observer sees every cycle. *)
+val step_cycle : ?limit:int -> t -> unit
 
 (** True once the program has halted and every buffer has drained. *)
 val drained : t -> bool

@@ -133,6 +133,26 @@ let end_cycle t (iq : Iq.t) ?(resize_ok = true) ~throttled () =
        retry-until-safe delay is part of the scheme's adjustment lag. *)
     if resize_ok then ignore (Iq.resize iq a.limit)
 
+(* Quiet-cycle folding (see [Pipeline.step_cycle]): how many further
+   [end_cycle] calls on an unchanged queue can be replaced by one
+   [fold_cycles] — all of them but the one that closes the sensing
+   window, which must run for real. [max_int] when the policy keeps no
+   per-cycle state. *)
+let foldable_cycles = function
+  | Unlimited | Software _ -> max_int
+  | Abella a -> a.window - a.cycle_in_window - 1
+
+(* [n] [end_cycle] calls on a queue that does not change in between, none
+   of them closing the window. The resize retried by each call is the
+   one that just failed, so it fails again and is skipped. *)
+let fold_cycles t (iq : Iq.t) ~throttled n =
+  match t with
+  | Unlimited | Software _ -> ()
+  | Abella a ->
+    a.cycle_in_window <- a.cycle_in_window + n;
+    a.occupancy_sum <- a.occupancy_sum + (n * Iq.occupancy iq);
+    if throttled then a.throttled_cycles <- a.throttled_cycles + n
+
 let current_limit t (iq : Iq.t) =
   match t with
   | Unlimited -> Iq.size iq

@@ -62,4 +62,14 @@ val on_annotation : t -> Iq.t -> pc:int -> value:int -> unit
     recorded under the current modulus. *)
 val end_cycle : t -> Iq.t -> ?resize_ok:bool -> throttled:bool -> unit -> unit
 
+(** Further {!end_cycle} calls on an unchanged queue that {!fold_cycles}
+    may stand in for: all but the one closing the adaptive scheme's
+    sensing window; [max_int] for the policies with no per-cycle state. *)
+val foldable_cycles : t -> int
+
+(** [fold_cycles t iq ~throttled n]: the effect of [n] {!end_cycle}
+    calls, at most {!foldable_cycles}, on a queue that stays unchanged
+    and whose last resize attempt failed (so each would fail again). *)
+val fold_cycles : t -> Iq.t -> throttled:bool -> int -> unit
+
 val current_limit : t -> Iq.t -> int

@@ -27,14 +27,8 @@ type dest =
   | Int_dest of int (* physical register *)
   | Fp_dest of int
 
-(* Destinations packed into one int: 0 = none, odd = int register
-   [code asr 1], even nonzero = fp register [(code asr 1) - 1]... kept
-   simpler: int as [2p + 1], fp as [2p + 2]. *)
-let encode_dest = function
-  | No_dest -> 0
-  | Int_dest p -> (2 * p) + 1
-  | Fp_dest p -> (2 * p) + 2
-
+(* Destinations packed into one int: 0 = none, int register [p] as
+   [2p + 1], fp register [p] as [2p + 2]. *)
 let decode_dest = function
   | 0 -> No_dest
   | c when c land 1 = 1 -> Int_dest (c asr 1)
@@ -63,7 +57,6 @@ type t = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  mutable stores : int;  (* in-flight store entries, for the forward scan *)
 }
 
 let create ~size =
@@ -81,7 +74,6 @@ let create ~size =
     head = 0;
     tail = 0;
     count = 0;
-    stores = 0;
   }
 
 let is_full t = t.count = t.size
@@ -124,8 +116,8 @@ let set_blocked_fetch t idx b =
 
 let is_wp t idx = Bytes.unsafe_get t.wp idx <> '\000'
 
-(* Allocate the tail entry; returns its index. [push_codes] is the
-   allocation-free form taking pre-encoded destination codes. *)
+(* Allocate the tail entry; returns its index. Destinations arrive
+   pre-encoded, so the hot path allocates nothing. *)
 let push_codes t ~dyn ~dest_code ~old_code ~iq_slot ~wp =
   if is_full t then invalid_arg "Rob.push: full";
   let idx = t.tail in
@@ -139,12 +131,7 @@ let push_codes t ~dyn ~dest_code ~old_code ~iq_slot ~wp =
   Bytes.unsafe_set t.wp idx (if wp then '\001' else '\000');
   t.tail <- (if t.tail + 1 = t.size then 0 else t.tail + 1);
   t.count <- t.count + 1;
-  if Instr.is_store dyn.Exec.instr then t.stores <- t.stores + 1;
   idx
-
-let push t ~dyn ~dest ~old_phys ~iq_slot =
-  push_codes t ~dyn ~dest_code:(encode_dest dest)
-    ~old_code:(encode_dest old_phys) ~iq_slot ~wp:false
 
 (* Commit primitives for the hot loop: test the head, read its index,
    pop it — without a per-commit closure. *)
@@ -153,22 +140,9 @@ let head_index t = t.head
 
 let pop_head t =
   let idx = t.head in
-  if Instr.is_store (Array.unsafe_get t.dyns idx).Exec.instr then
-    t.stores <- t.stores - 1;
   Array.unsafe_set t.dyns idx dummy_dyn;
   t.head <- (if t.head + 1 = t.size then 0 else t.head + 1);
   t.count <- t.count - 1
-
-(* Pop the head entry if it has completed; [f] consumes its index (the
-   entry is still intact during the call). Returns true when an
-   instruction was committed. *)
-let try_commit t f =
-  if head_is_completed t then begin
-    f t.head;
-    pop_head t;
-    true
-  end
-  else false
 
 (* Squash primitives: the youngest in-flight entry (the one just below
    the tail pointer) and its removal. The pipeline pops wrong-path
@@ -180,8 +154,6 @@ let tail_index t =
 
 let pop_tail t =
   let idx = tail_index t in
-  if Instr.is_store (Array.unsafe_get t.dyns idx).Exec.instr then
-    t.stores <- t.stores - 1;
   Array.unsafe_set t.dyns idx dummy_dyn;
   Bytes.unsafe_set t.wp idx '\000';
   t.tail <- idx;
@@ -194,34 +166,3 @@ let iter_in_flight t f =
     f !pos;
     pos := (if !pos + 1 = t.size then 0 else !pos + 1)
   done
-
-(* Youngest in-flight entry older than [idx] that is a store to [addr];
-   -1 when none. Walks backwards from [idx] toward the head so the first
-   match is the youngest — equivalent to scanning every older entry and
-   keeping the last match, but with early exit. *)
-let youngest_older_store t idx addr =
-  if t.stores = 0 then -1
-  else begin
-  let res = ref (-1) in
-  let pos = ref idx in
-  let steps =
-    ref
-      (let d = idx - t.head in
-       if d < 0 then d + t.size else d)
-  in
-  while !res < 0 && !steps > 0 do
-    pos := (if !pos = 0 then t.size - 1 else !pos - 1);
-    decr steps;
-    let d = Array.unsafe_get t.dyns !pos in
-    if d.Exec.addr = addr && Instr.is_store d.Exec.instr then res := !pos
-  done;
-  !res
-  end
-
-(* Is [a] older than [b] in program order? Valid for in-flight indices. *)
-let older t a b =
-  let age idx =
-    let d = idx - t.head in
-    if d < 0 then d + t.size else d
-  in
-  age a < age b

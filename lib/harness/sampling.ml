@@ -105,7 +105,7 @@ let run_detailed (p : Pipeline.t) insns =
         (Pipeline.Simulation_limit
            (Printf.sprintf "Sampling: no progress toward %d commits at \
                             cycle %d" target p.Pipeline.cycle));
-    Pipeline.step_cycle p
+    Pipeline.step_cycle ~limit:deadline p
   done
 
 (* Technique-view IQ energy (dynamic + static) of a stats delta. *)

@@ -281,4 +281,92 @@ let () =
   Printf.printf
     "fuzz: all %d programs tighten audit-clean with baseline-identical \
      commits\n"
+    n;
+  (* Quiet-skip lane: skipping quiet cycles must be invisible. With no
+     sink subscribed, [step_cycle] jumps over runs of cycles that change
+     nothing but statistics; any subscribed sink (here a null one) turns
+     that off. The same derived seeds run both ways under every
+     technique and scheduler, and must end with equal statistics, the
+     same cycle and the same committed stream. The commits are read off
+     the ROB head around each call rather than through a commit sink,
+     which would itself turn skipping off: an instruction that commits
+     during a call was among the oldest [commit_width] entries before
+     it. *)
+  let quiet_run ~sink prog tech sched =
+    let prepared = Sdiq_harness.Technique.prepare tech prog in
+    let p =
+      Sdiq_cpu.Pipeline.create
+        ~policy:(Sdiq_harness.Technique.policy tech)
+        ~sched prepared
+    in
+    if sink then Sdiq_cpu.Pipeline.subscribe ~name:"null" p (fun _ -> ());
+    let rob = Sdiq_cpu.Pipeline.Debug.rob p in
+    let width = Sdiq_cpu.Config.default.Sdiq_cpu.Config.commit_width in
+    let oldest = Array.make width Sdiq_cpu.Rob.dummy_dyn in
+    let commits = ref [] in
+    let max_cycles = 2_000_000 in
+    let stats = p.Sdiq_cpu.Pipeline.stats in
+    while not (Sdiq_cpu.Pipeline.drained p) do
+      if p.Sdiq_cpu.Pipeline.cycle >= max_cycles then
+        raise (Sdiq_cpu.Pipeline.Simulation_limit "quiet lane: no progress");
+      let k = ref 0 in
+      Sdiq_cpu.Rob.iter_in_flight rob (fun idx ->
+          if !k < width then begin
+            oldest.(!k) <- Sdiq_cpu.Rob.dyn rob idx;
+            incr k
+          end);
+      let before = stats.Sdiq_cpu.Stats.committed in
+      Sdiq_cpu.Pipeline.step_cycle ~limit:max_cycles p;
+      for j = 0 to stats.Sdiq_cpu.Stats.committed - before - 1 do
+        commits := oldest.(j) :: !commits
+      done
+    done;
+    (stats, p.Sdiq_cpu.Pipeline.cycle, Array.of_list (List.rev !commits))
+  in
+  let quiet_failures = ref 0 in
+  for i = 0 to n - 1 do
+    let seed = base_seed + i in
+    let rng = Sdiq_util.Rng.create seed in
+    let desc = Sdiq_workloads.Gen.random_desc rng in
+    let prog = Sdiq_workloads.Gen.program_of_desc desc in
+    List.iter
+      (fun sched ->
+        List.iter
+          (fun tech ->
+            let fail what =
+              incr quiet_failures;
+              Printf.printf
+                "\nQUIET-SKIP FAILURE at program %d (seed %d, %s, %s): %s\n" i
+                seed
+                (Sdiq_harness.Technique.name tech)
+                (Sdiq_cpu.Sched.name sched)
+                what;
+              Printf.printf
+                "replay: FUZZ_SEED=%d FUZZ_N=1 dune exec test/fuzz_main.exe\n"
+                seed
+            in
+            match
+              ( quiet_run ~sink:false prog tech sched,
+                quiet_run ~sink:true prog tech sched )
+            with
+            | (s_skip, c_skip, t_skip), (s_step, c_step, t_step) ->
+              if not (Sdiq_cpu.Stats.equal s_skip s_step) then
+                fail "statistics differ with and without a sink"
+              else if c_skip <> c_step then
+                fail
+                  (Printf.sprintf "final cycle %d without a sink, %d with one"
+                     c_skip c_step)
+              else if differ t_skip t_step then
+                fail "committed stream differs with and without a sink"
+            | exception Sdiq_cpu.Pipeline.Simulation_limit msg ->
+              fail ("stuck: " ^ msg))
+          Sdiq_harness.Technique.all)
+      Sdiq_cpu.Sched.[ oldest_first; nskip ~n:4; load_delay ]
+  done;
+  if !quiet_failures > 0 then begin
+    Printf.printf "\nfuzz: %d quiet-skip runs FAILED\n" !quiet_failures;
+    exit 1
+  end;
+  Printf.printf
+    "fuzz: all %d programs identical with quiet-cycle skipping on and off\n"
     n

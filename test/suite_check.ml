@@ -174,6 +174,60 @@ let test_checker_catches_sabotaged_squash () =
     Alcotest.(check string) "the linkage invariant names the leak"
       "iq-rob-linkage" v.Checker.invariant
 
+(* Sabotage of the event-driven select/wakeup state: apply [tamper] to
+   the queue before every cycle until the checker trips, and demand the
+   invariant that names the broken structure. *)
+let tamper_until_caught ~invariant tamper =
+  let prog = Technique.prepare Technique.Baseline (sample_prog ()) in
+  let p = Pipeline.create prog in
+  ignore (Checker.attach p);
+  match
+    for _ = 1 to 2_000 do
+      tamper (Pipeline.Debug.iq p);
+      Pipeline.step_cycle p
+    done
+  with
+  | () -> Alcotest.failf "checker missed the sabotage (%s)" invariant
+  | exception Checker.Invariant_violation v ->
+    Alcotest.(check string) "the invariant names the break" invariant
+      v.Checker.invariant
+
+(* Apply [f] to the first waiting operand (slot, operand), if any. *)
+let first_waiting iq f =
+  let module Iq = Sdiq_cpu.Iq in
+  let found = ref false in
+  for s = 0 to iq.Iq.size - 1 do
+    for j = 0 to 1 do
+      if
+        (not !found) && Iq.slot_valid iq s && Iq.op_present iq s j
+        && not (Iq.op_ready iq s j)
+      then begin
+        found := true;
+        f s j
+      end
+    done
+  done
+
+(* A waiting operand marked ready behind the counters' back: the next
+   broadcast would be priced against a stale operand count. *)
+let test_checker_catches_stale_operand_counts () =
+  tamper_until_caught ~invariant:"iq-operand-counts" (fun iq ->
+      first_waiting iq (fun s j -> Sdiq_cpu.Iq.Raw.set_ready iq s j true))
+
+(* An issueable slot dropped from the ready list: select would never
+   see it again. *)
+let test_checker_catches_dropped_ready_entry () =
+  tamper_until_caught ~invariant:"iq-ready-list" (fun iq ->
+      if iq.Sdiq_cpu.Iq.nready > 0 then
+        Sdiq_cpu.Iq.Raw.drop_ready iq iq.Sdiq_cpu.Iq.ready.(0))
+
+(* A waiting operand's tag loses its waiter list: the producer's
+   broadcast would never wake it. *)
+let test_checker_catches_lost_waiter () =
+  tamper_until_caught ~invariant:"iq-waiter-list" (fun iq ->
+      first_waiting iq (fun s j ->
+          Sdiq_cpu.Iq.Raw.clear_waiters iq (Sdiq_cpu.Iq.op_tag iq s j)))
+
 (* --- violation formatting ------------------------------------------------ *)
 
 let test_violation_report_is_structured () =
@@ -279,6 +333,12 @@ let suite =
       test_checker_catches_sabotaged_squash;
     Alcotest.test_case "violation reports are structured" `Quick
       test_violation_report_is_structured;
+    Alcotest.test_case "checker catches stale IQ operand counters" `Quick
+      test_checker_catches_stale_operand_counts;
+    Alcotest.test_case "checker catches a dropped ready-list entry" `Quick
+      test_checker_catches_dropped_ready_entry;
+    Alcotest.test_case "checker catches a lost waiter-list entry" `Quick
+      test_checker_catches_lost_waiter;
     QCheck_alcotest.to_alcotest qcheck_differential;
     Alcotest.test_case "runner threads the checker factory" `Quick
       test_runner_checker_factory;

@@ -26,9 +26,9 @@ let kind_index name =
 
 (* Run [bench] under [tech] with a fresh pipeline; [attach] is given the
    pipeline before the run for sink registration. *)
-let run_with ?(budget = 2_000) ~attach bench tech =
+let run_with ?(budget = 2_000) ?sched ~attach bench tech =
   let prog = Technique.prepare tech bench.Sdiq_workloads.Bench.prog in
-  let p = Pipeline.create ~policy:(Technique.policy tech) prog in
+  let p = Pipeline.create ~policy:(Technique.policy tech) ?sched prog in
   attach p;
   bench.Sdiq_workloads.Bench.init p.Pipeline.exec;
   Pipeline.run ~max_insns:budget p
@@ -43,6 +43,8 @@ let counts_of bench tech =
 
 let gzip () = Sdiq_workloads.W_gzip.build ~outer:2_000 ()
 let mcf () = Sdiq_workloads.W_mcf.build ~outer:2_000 ()
+let vpr () = Sdiq_workloads.W_vpr.build ~outer:2_000 ()
+let twolf () = Sdiq_workloads.W_twolf.build ~outer:2_000 ()
 
 (* --- bus semantics ------------------------------------------------------ *)
 
@@ -104,28 +106,35 @@ let test_sink_fold_matches_stats_all_techniques () =
     [ gzip (); mcf () ]
 
 (* The dual-path pin: with no sink the pipeline's per-kind emitters
-   update statistics directly (the fast path); with any sink attached
-   every event goes through the bus and [Stats.absorb]. The two paths
+   update statistics directly and quiet cycles are skipped in one jump
+   (the fast path); with any sink attached every event goes through the
+   bus and [Stats.absorb], and every cycle is stepped. The two paths
    must produce identical statistics — integer for integer — on every
-   benchmark and technique, or the fast path has drifted from the
-   event vocabulary. *)
+   technique and scheduler, or the fast path has drifted from the event
+   vocabulary or a skip was visible. vpr and twolf are the
+   wrong-path-heavy kernels; mcf the memory-bound one, whose long
+   quiet stretches are the skipped ones. *)
 let test_nosink_stats_equal_sink_stats () =
   List.iter
     (fun bench ->
       List.iter
-        (fun tech ->
-          let nosink = run_with bench tech ~attach:(fun _ -> ()) in
-          let sunk =
-            run_with bench tech ~attach:(fun p ->
-                Pipeline.subscribe ~name:"null" p (fun _ -> ()))
-          in
-          Alcotest.(check bool)
-            (Fmt.str "%s/%s: no-sink stats == sink-attached stats"
-               bench.Sdiq_workloads.Bench.name (Technique.name tech))
-            true
-            (Stats.equal nosink sunk))
-        Technique.all)
-    [ gzip (); mcf () ]
+        (fun sched ->
+          List.iter
+            (fun tech ->
+              let nosink = run_with ~sched bench tech ~attach:(fun _ -> ()) in
+              let sunk =
+                run_with ~sched bench tech ~attach:(fun p ->
+                    Pipeline.subscribe ~name:"null" p (fun _ -> ()))
+              in
+              Alcotest.(check bool)
+                (Fmt.str "%s/%s/%s: no-sink stats == sink-attached stats"
+                   bench.Sdiq_workloads.Bench.name (Technique.name tech)
+                   (Sdiq_cpu.Sched.name sched))
+                true
+                (Stats.equal nosink sunk))
+            Technique.all)
+        Sdiq_cpu.Sched.[ oldest_first; nskip ~n:4; load_delay ])
+    [ gzip (); mcf (); vpr (); twolf () ]
 
 let prop_sink_fold_matches_stats =
   QCheck.Test.make ~count:12

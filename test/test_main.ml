@@ -23,6 +23,7 @@ let () =
       ("check", Suite_check.suite);
       ("sched", Suite_sched.suite);
       ("events", Suite_events.suite);
+      ("quiet", Suite_quiet.suite);
       ("obs", Suite_obs.suite);
       ("telemetry", Suite_telemetry.suite);
       ("tighten", Suite_tighten.suite);
