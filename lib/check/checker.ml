@@ -1,8 +1,8 @@
 (* Cycle-level invariant checker.
 
-   Installed on a pipeline via the [?checker] hook, it audits the machine
-   after every cycle against the structural invariants the paper's results
-   rest on (see DESIGN.md, "Invariants the pipeline maintains"): the
+   Installed on a pipeline as an [on_cycle_end] observer, it audits the
+   machine after every cycle against the structural invariants the paper's
+   results rest on (see DESIGN.md, "Invariants the pipeline maintains"): the
    software dispatch window is honoured, gated banks are genuinely empty,
    the per-cycle power integrals match a recount of the actual state, the
    ROB drains in program order, the physical register files conserve

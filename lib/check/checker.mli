@@ -1,18 +1,19 @@
 (** Cycle-level invariant checker for {!Sdiq_cpu.Pipeline}.
 
-    Installed via the pipeline's [?checker] hook, it audits the machine
-    after every cycle: the software dispatch window ([new_head]..[tail]
-    never exceeds [max_new_range]), gated banks hold no entries, the
-    per-cycle power integrals ([iq_banks_on_sum], [rf_banks_on_sum],
-    [int_rf_live_sum]) match a recount of the live state, the ROB stays
-    in program order, the physical register files conserve registers
-    across rename/commit/squash, wrong-path entries exist only inside an
-    open mispredict episode and are marked exactly (["wp-confined"] /
-    ["wp-marking"]), every live IQ and LSQ entry links to an in-flight
-    ROB entry and back (["iq-rob-linkage"], ["lsq-rob-linkage"] — the
-    squash-leak detectors), the LSQ stays age-ordered, and the wakeup
-    counters equal the comparisons the queue actually performed
-    (replayed exactly from the previous cycle's operand exposure).
+    Installed as a {!Sdiq_cpu.Pipeline.on_cycle_end} observer, it audits
+    the machine after every cycle: the software dispatch window
+    ([new_head]..[tail] never exceeds [max_new_range]), gated banks hold
+    no entries, the per-cycle power integrals ([iq_banks_on_sum],
+    [rf_banks_on_sum], [int_rf_live_sum]) match a recount of the live
+    state, the ROB stays in program order, the physical register files
+    conserve registers across rename/commit/squash, wrong-path entries
+    exist only inside an open mispredict episode and are marked exactly
+    (["wp-confined"] / ["wp-marking"]), every live IQ and LSQ entry links
+    to an in-flight ROB entry and back (["iq-rob-linkage"],
+    ["lsq-rob-linkage"] — the squash-leak detectors), the LSQ stays
+    age-ordered, and the wakeup counters equal the comparisons the queue
+    actually performed (replayed exactly from the previous cycle's operand
+    exposure).
 
     DESIGN.md §"Invariants the pipeline maintains" lists each invariant
     with the paper section it derives from. *)
@@ -34,7 +35,8 @@ type t
 val create : unit -> t
 
 (** The per-cycle audit; raises {!Invariant_violation} on the first
-    broken invariant. Pass [hook c] as the pipeline's [?checker]. *)
+    broken invariant. Register [hook c] with
+    {!Sdiq_cpu.Pipeline.on_cycle_end}. *)
 val check : t -> Sdiq_cpu.Pipeline.t -> unit
 
 val hook : t -> Sdiq_cpu.Pipeline.t -> unit

@@ -6,7 +6,8 @@
    instruction is detected at fetch time, the frontend does not stall
    (unless [speculative_fetch] is off): it keeps fetching down the
    *predicted* path, synthesising wrong-path instructions with a shadow
-   executor that reads the predictor for control flow and a copy of the
+   executor that reads the predictor for control flow and runs the
+   oracle's own datapath ([Exec.execute]) on an overlay of the
    architectural state for values. Wrong-path work renames, dispatches,
    issues and completes like any other — occupying the IQ, ROB, LSQ and
    physical registers and heating the caches — but never commits: when
@@ -121,20 +122,18 @@ type t = {
   mutable probe_cycle : int; (* cycle of the last ITLB/IL1 fetch probe *)
   mutable probe_pc : int; (* ... and the pc it probed *)
   mutable blocked_sn : int; (* unresolved mispredict sn; -1 = none *)
+  mutable d_pred_taken : bool;
+      (* [train_control] scratch: the conditional's predicted direction *)
   (* wrong-path (speculative fetch) episode state. One episode at a time:
      fetch follows the predicted path of the unresolved mispredict at
      [blocked_sn]; a nested wrong-path mispredict just ends wrong-path
      fetch (there is no second level to recover to). *)
   mutable wp_mode : bool;
-  mutable wp_pc : int; (* next wrong-path pc; -1 = wp fetch idle *)
-  mutable wp_next_sn : int; (* synthetic sns, from [blocked_sn] + 1 *)
-  (* shadow architectural state seeding the wrong-path executor: register
-     copies taken at episode entry, plus store overlays over the oracle's
-     memory (the oracle itself is never touched off the correct path) *)
-  wp_iregs : int array;
-  wp_fregs : float array;
-  wp_imem : (int, int) Hashtbl.t;
-  wp_fmem : (int, float) Hashtbl.t;
+  wp : Exec.state;
+      (* the wrong-path executor: an overlay on [exec] (the oracle itself
+         is never touched off the correct path). During an episode its
+         [pc] is the next wrong-path pc, -1 once wrong-path fetch idles;
+         its [steps] are the synthetic sns, from [blocked_sn] + 1. *)
   wp_ras : int array; (* RAS snapshot, restored at squash *)
   mutable wp_ras_top : int;
   iq_wp : Bytes.t; (* per-IQ-slot wrong-path flag, for pointer rewind *)
@@ -380,8 +379,7 @@ let on_cycle_end ?(name = "cycle-observer") t f =
 let on_commit_sink ?(name = "commit-observer") t f =
   subscribe ~name t (function Ev.Commit { dyn } -> f dyn | _ -> ())
 
-let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
-    ?checker ?on_commit prog =
+let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
   let sched =
     match sched with Some s -> s | None -> config.Config.sched
   in
@@ -481,13 +479,9 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
       probe_cycle = -1;
       probe_pc = -1;
       blocked_sn = -1;
+      d_pred_taken = false;
       wp_mode = false;
-      wp_pc = -1;
-      wp_next_sn = 0;
-      wp_iregs = Array.make Reg.num_int 0;
-      wp_fregs = Array.make Reg.num_fp 0.;
-      wp_imem = Hashtbl.create 64;
-      wp_fmem = Hashtbl.create 64;
+      wp = Exec.overlay exec;
       wp_ras = Array.make config.Config.ras_size 0;
       wp_ras_top = 0;
       iq_wp = Bytes.make config.Config.iq_size '\000';
@@ -505,17 +499,40 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched
     }
   in
   t.iq.Iq.suppress_pred <- t.pred_track;
-  (* Compat shims: the old [?checker]/[?on_commit] hooks are ordinary
-     sinks now. *)
-  (match checker with Some f -> on_cycle_end ~name:"checker" t f | None -> ());
-  (match on_commit with
-  | Some f -> on_commit_sink ~name:"on-commit" t f
-  | None -> ());
   t
 
 (* Physical-register tag space: int regs as-is, fp regs offset. *)
 let int_tag p = p
 let fp_tag t p = t.cfg.Config.rf_size + p
+
+(* --- memory hierarchy ---------------------------------------------------- *)
+
+(* A miss in [l1] (the IL1 or the DL1) at [addr]: refill the line from
+   L2, and L2 from memory on its own miss; returns the latency. Fast-
+   forward passes [~count:false]: the same state transitions, but no
+   statistics and no sink traffic. *)
+let l1_refill t l1 addr ~count =
+  let now = t.cycle in
+  if count then
+    emit_cache_miss t (if l1 == t.il1 then Ev.Il1 else Ev.Dl1) addr;
+  let lat =
+    match Cache.probe t.l2 ~now addr with
+    | Cache.Hit -> t.cfg.Config.l2_hit
+    | Cache.Inflight r -> r + 1
+    | Cache.Miss ->
+      if count then emit_cache_miss t Ev.L2 addr;
+      Cache.set_fill t.l2 addr (now + t.cfg.Config.mem_latency);
+      t.cfg.Config.mem_latency
+  in
+  Cache.set_fill l1 addr (now + lat);
+  lat
+
+(* Probe [l1] at [addr] for the side effects alone, refilling on a miss:
+   a store writing the DL1 at commit, fast-forward's warming probes. *)
+let touch_l1 t l1 addr ~count =
+  match Cache.probe l1 ~now:t.cycle addr with
+  | Cache.Hit | Cache.Inflight _ -> ()
+  | Cache.Miss -> ignore (l1_refill t l1 addr ~count : int)
 
 (* --- commit ------------------------------------------------------------ *)
 
@@ -532,28 +549,14 @@ let commit_one t idx =
   release_dest_code t (Rob.old_code t.rob idx);
   (* Memory instructions leave the LSQ in program order at commit. *)
   if Rob.lsq_slot t.rob idx >= 0 then Lsq.pop_head t.lsq ~rob_idx:idx;
-  (* The predictor trains at fetch (see [fetch_stage]): with no wrong-path
-     instructions, fetch order equals commit order, so updating there is
+  (* The predictor trains at fetch ([train_control]): only the correct
+     path trains, in fetch order = commit order, so updating there is
      exact and avoids stale-history aliasing for in-flight branches. *)
   (* Stores write the data cache at commit; write misses allocate but do
      not stall the pipeline (a write buffer is assumed). *)
   if Instr.is_store i then begin
     t.stores_in_flight <- t.stores_in_flight - 1;
-    let now = t.cycle in
-    match Cache.probe t.dl1 ~now dyn.Exec.addr with
-    | Cache.Hit | Cache.Inflight _ -> ()
-    | Cache.Miss ->
-      emit_cache_miss t Ev.Dl1 dyn.Exec.addr;
-      let lat =
-        match Cache.probe t.l2 ~now dyn.Exec.addr with
-        | Cache.Hit -> t.cfg.Config.l2_hit
-        | Cache.Inflight r -> r + 1
-        | Cache.Miss ->
-          emit_cache_miss t Ev.L2 dyn.Exec.addr;
-          Cache.set_fill t.l2 dyn.Exec.addr (now + t.cfg.Config.mem_latency);
-          t.cfg.Config.mem_latency
-      in
-      Cache.set_fill t.dl1 dyn.Exec.addr (now + lat)
+    touch_l1 t t.dl1 dyn.Exec.addr ~count:true
   end
 
 let commit_stage t =
@@ -688,10 +691,8 @@ let squash_wrong_path t bidx =
   end;
   Branch_pred.ras_restore t.bpred t.wp_ras t.wp_ras_top;
   t.wp_mode <- false;
-  t.wp_pc <- -1;
+  t.wp.Exec.pc <- -1;
   t.wp_iq_boundary <- -1;
-  if Hashtbl.length t.wp_imem > 0 then Hashtbl.reset t.wp_imem;
-  if Hashtbl.length t.wp_fmem > 0 then Hashtbl.reset t.wp_fmem;
   emit_squash t branch_dyn ~squashed:(fq_squashed + !nrob)
 
 (* --- writeback --------------------------------------------------------- *)
@@ -828,23 +829,10 @@ let conflicting_store t idx addr =
    instruction latency, the cache time is added on top). A line still in
    flight from an earlier miss delivers when its fill completes. *)
 let load_cache_latency t addr =
-  let now = t.cycle in
-  match Cache.probe t.dl1 ~now addr with
+  match Cache.probe t.dl1 ~now:t.cycle addr with
   | Cache.Hit -> t.cfg.Config.dl1_hit
   | Cache.Inflight r -> r + 1
-  | Cache.Miss ->
-    emit_cache_miss t Ev.Dl1 addr;
-    let lat =
-      match Cache.probe t.l2 ~now addr with
-      | Cache.Hit -> t.cfg.Config.l2_hit
-      | Cache.Inflight r -> r + 1
-      | Cache.Miss ->
-        emit_cache_miss t Ev.L2 addr;
-        Cache.set_fill t.l2 addr (now + t.cfg.Config.mem_latency);
-        t.cfg.Config.mem_latency
-    in
-    Cache.set_fill t.dl1 addr (now + lat);
-    lat
+  | Cache.Miss -> l1_refill t t.dl1 addr ~count:true
 
 (* One register-file read event per issuing instruction, counting its
    int and fp source reads (the per-file counters live in [Regfile] for
@@ -1231,210 +1219,85 @@ let ifetch_stall t start_pc =
     match Cache.probe t.il1 ~now:t.cycle (start_pc * 4) with
     | Cache.Hit -> None
     | Cache.Inflight r -> Some (r + 1)
-    | Cache.Miss ->
-      emit_cache_miss t Ev.Il1 (start_pc * 4);
-      let lat =
-        match Cache.probe t.l2 ~now:t.cycle (start_pc * 4) with
-        | Cache.Hit -> t.cfg.Config.l2_hit
-        | Cache.Inflight r -> r + 1
-        | Cache.Miss ->
-          emit_cache_miss t Ev.L2 (start_pc * 4);
-          Cache.set_fill t.l2 (start_pc * 4)
-            (t.cycle + t.cfg.Config.mem_latency);
-          t.cfg.Config.mem_latency
-      in
-      Cache.set_fill t.il1 (start_pc * 4) (t.cycle + lat);
-      Some lat
+    | Cache.Miss -> Some (l1_refill t t.il1 (start_pc * 4) ~count:true)
+
+(* --- frontend training ---------------------------------------------------- *)
+
+(* Train the frontend on the correct-path control instruction [dyn], as
+   both detailed fetch and fast-forward do: a conditional predicts, looks
+   up the BTB, trains the direction tables and, if taken, the BTB; a jump
+   or call (after pushing its return address) looks up and updates the
+   BTB; a return pops the RAS. Returns the target predicted before
+   training — the BTB's, or the RAS's for a return; -1 for none — and
+   leaves a conditional's predicted direction in [d_pred_taken]. *)
+let train_control t (dyn : Exec.dyn) =
+  let pc = dyn.Exec.pc in
+  match dyn.Exec.instr.Instr.op with
+  | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
+    t.d_pred_taken <- Branch_pred.predict_direction t.bpred pc;
+    let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
+    Branch_pred.update_direction t.bpred pc ~taken:dyn.Exec.taken;
+    if dyn.Exec.taken then
+      Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    tgt
+  | Opcode.Jmp | Opcode.Call as op ->
+    if op = Opcode.Call then Branch_pred.ras_push t.bpred (pc + 1);
+    let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
+    Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    tgt
+  | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
+  | _ -> -1
 
 (* --- wrong-path execution ------------------------------------------------ *)
 
 (* Shadow executor for the speculative frontend (DESIGN.md §14): runs
-   the *predicted* path after a detected mispredict, against register
-   copies taken at episode entry and a store overlay over the oracle's
-   memory — the oracle itself never leaves the correct path. Arithmetic
-   mirrors [Exec.step] exactly (total: division by zero and out-of-range
-   shifts yield 0, unwritten memory reads 0). Control flow follows the
-   predictor, because down the wrong path there is no oracle outcome to
-   follow: direction tables are read but never trained, the BTB's LRU is
-   touched as any lookup does, and the RAS is pushed and popped for real
-   (restored from the episode snapshot at squash). *)
+   the *predicted* path after a detected mispredict on [t.wp], an
+   overlay on the oracle ([Exec.overlay]) — the oracle itself never
+   leaves the correct path. The datapath is [Exec.execute]; only control
+   flow is the executor's own, and it follows the predictor, because
+   down the wrong path there is no oracle outcome to follow: direction
+   tables are read but never trained, the BTB's LRU is touched as any
+   lookup does, and the RAS is pushed and popped for real (restored from
+   the episode snapshot at squash).
 
-let wp_ireg t r = if r = 0 then 0 else t.wp_iregs.(r)
-
-let wp_src1_int t (i : Instr.t) =
-  match i.Instr.src1 with Some (Reg.Int r) -> wp_ireg t r | _ -> 0
-
-let wp_src2_int t (i : Instr.t) =
-  match i.Instr.src2 with Some (Reg.Int r) -> wp_ireg t r | _ -> 0
-
-let wp_src1_fp t (i : Instr.t) =
-  match i.Instr.src1 with Some (Reg.Fp r) -> t.wp_fregs.(r) | _ -> 0.
-
-let wp_src2_fp t (i : Instr.t) =
-  match i.Instr.src2 with Some (Reg.Fp r) -> t.wp_fregs.(r) | _ -> 0.
-
-let wp_write_int t (i : Instr.t) v =
-  match i.Instr.dst with
-  | Some (Reg.Int r) -> if r <> 0 then t.wp_iregs.(r) <- v
-  | Some (Reg.Fp _) | None -> ()
-
-let wp_write_fp t (i : Instr.t) v =
-  match i.Instr.dst with
-  | Some (Reg.Fp r) -> t.wp_fregs.(r) <- v
-  | Some (Reg.Int _) | None -> ()
-
-let wp_peek t a =
-  match Hashtbl.find_opt t.wp_imem a with
-  | Some v -> v
-  | None -> Exec.peek t.exec a
-
-let wp_fpeek t a =
-  match Hashtbl.find_opt t.wp_fmem a with
-  | Some v -> v
-  | None -> Exec.fpeek t.exec a
-
-(* Execute the wrong-path instruction at [t.wp_pc]. [None] when the
-   wrong path has nowhere to go — a predicted-taken transfer with no BTB
-   target, a return off an empty RAS, a Halt, or running off the program
-   — in which case nothing is mutated and wrong-path fetch idles until
-   the mispredicted branch resolves. *)
+   [None] when the wrong path has nowhere to go — a predicted-taken
+   transfer with no BTB target, a return off an empty RAS, a Halt, or
+   running off the program — in which case nothing is mutated (a call
+   pushes only once its target is known; [ras_pop_addr] leaves an empty
+   stack untouched) and wrong-path fetch idles until the mispredicted
+   branch resolves. *)
 let wp_step t : Exec.dyn option =
-  let pc = t.wp_pc in
+  let w = t.wp in
+  let pc = w.Exec.pc in
   if pc < 0 || pc >= Prog.length t.prog then None
   else begin
     let i = t.prog.Prog.code.(pc) in
-    match i.Instr.op with
-    | Opcode.Halt -> None
-    | _ ->
-      let fallthrough = pc + 1 in
-      let next_pc = ref fallthrough in
-      let taken = ref false in
-      let addr = ref (-1) in
-      let ok = ref true in
-      (* Control decision first: a stalling opcode must leave no trace
-         (the RAS pop for a feasible return is the one real mutation,
-         and [ras_pop_addr] leaves an empty stack untouched). *)
-      (match i.Instr.op with
+    let taken =
+      match i.Instr.op with
       | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-        if Branch_pred.predict_direction t.bpred pc then begin
-          let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-          if tgt < 0 then ok := false
-          else begin
-            taken := true;
-            next_pc := tgt
-          end
-        end
-      | Opcode.Jmp ->
-        let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-        if tgt < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := tgt
-        end
+        Branch_pred.predict_direction t.bpred pc
+      | Opcode.Jmp | Opcode.Call | Opcode.Ret -> true
+      | _ -> false
+    in
+    let next_pc =
+      match i.Instr.op with
+      | Opcode.Halt -> -1
+      | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
       | Opcode.Call ->
         let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-        if tgt < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := tgt;
-          Branch_pred.ras_push t.bpred fallthrough
-        end
-      | Opcode.Ret ->
-        let ra = Branch_pred.ras_pop_addr t.bpred in
-        if ra < 0 then ok := false
-        else begin
-          taken := true;
-          next_pc := ra
-        end
-      | _ -> ());
-      if not !ok then None
-      else begin
-        (match i.Instr.op with
-        | Opcode.Add -> wp_write_int t i (wp_src1_int t i + wp_src2_int t i)
-        | Opcode.Sub -> wp_write_int t i (wp_src1_int t i - wp_src2_int t i)
-        | Opcode.And ->
-          wp_write_int t i (wp_src1_int t i land wp_src2_int t i)
-        | Opcode.Or -> wp_write_int t i (wp_src1_int t i lor wp_src2_int t i)
-        | Opcode.Xor ->
-          wp_write_int t i (wp_src1_int t i lxor wp_src2_int t i)
-        | Opcode.Shl ->
-          let n = wp_src2_int t i in
-          wp_write_int t i (if Exec.shift_ok n then wp_src1_int t i lsl n else 0)
-        | Opcode.Shr ->
-          let n = wp_src2_int t i in
-          wp_write_int t i (if Exec.shift_ok n then wp_src1_int t i lsr n else 0)
-        | Opcode.Slt ->
-          wp_write_int t i (if wp_src1_int t i < wp_src2_int t i then 1 else 0)
-        | Opcode.Sle ->
-          wp_write_int t i
-            (if wp_src1_int t i <= wp_src2_int t i then 1 else 0)
-        | Opcode.Seq ->
-          wp_write_int t i (if wp_src1_int t i = wp_src2_int t i then 1 else 0)
-        | Opcode.Sne ->
-          wp_write_int t i
-            (if wp_src1_int t i <> wp_src2_int t i then 1 else 0)
-        | Opcode.Addi -> wp_write_int t i (wp_src1_int t i + i.Instr.imm)
-        | Opcode.Andi -> wp_write_int t i (wp_src1_int t i land i.Instr.imm)
-        | Opcode.Ori -> wp_write_int t i (wp_src1_int t i lor i.Instr.imm)
-        | Opcode.Xori -> wp_write_int t i (wp_src1_int t i lxor i.Instr.imm)
-        | Opcode.Shli ->
-          wp_write_int t i
-            (if Exec.shift_ok i.Instr.imm then wp_src1_int t i lsl i.Instr.imm
-             else 0)
-        | Opcode.Shri ->
-          wp_write_int t i
-            (if Exec.shift_ok i.Instr.imm then wp_src1_int t i lsr i.Instr.imm
-             else 0)
-        | Opcode.Slti ->
-          wp_write_int t i (if wp_src1_int t i < i.Instr.imm then 1 else 0)
-        | Opcode.Li -> wp_write_int t i i.Instr.imm
-        | Opcode.Mov -> wp_write_int t i (wp_src1_int t i)
-        | Opcode.Mul -> wp_write_int t i (wp_src1_int t i * wp_src2_int t i)
-        | Opcode.Div ->
-          let d = wp_src2_int t i in
-          wp_write_int t i (if d = 0 then 0 else wp_src1_int t i / d)
-        | Opcode.Fadd -> wp_write_fp t i (wp_src1_fp t i +. wp_src2_fp t i)
-        | Opcode.Fsub -> wp_write_fp t i (wp_src1_fp t i -. wp_src2_fp t i)
-        | Opcode.Fmul -> wp_write_fp t i (wp_src1_fp t i *. wp_src2_fp t i)
-        | Opcode.Fdiv ->
-          let d = wp_src2_fp t i in
-          wp_write_fp t i (if d = 0. then 0. else wp_src1_fp t i /. d)
-        | Opcode.Fli -> wp_write_fp t i (float_of_int i.Instr.imm /. 1000.)
-        | Opcode.Fmov -> wp_write_fp t i (wp_src1_fp t i)
-        | Opcode.Itof -> wp_write_fp t i (float_of_int (wp_src1_int t i))
-        | Opcode.Ftoi -> wp_write_int t i (int_of_float (wp_src1_fp t i))
-        | Opcode.Load ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          wp_write_int t i (wp_peek t a)
-        | Opcode.Store ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          Hashtbl.replace t.wp_imem a (wp_src2_int t i)
-        | Opcode.Fload ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          wp_write_fp t i (wp_fpeek t a)
-        | Opcode.Fstore ->
-          let a = wp_src1_int t i + i.Instr.imm in
-          addr := a;
-          Hashtbl.replace t.wp_fmem a (wp_src2_fp t i)
-        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
-        | Opcode.Call | Opcode.Ret | Opcode.Nop | Opcode.Iqset
-        | Opcode.Halt -> ());
-        let sn = t.wp_next_sn in
-        t.wp_next_sn <- sn + 1;
-        t.wp_pc <- !next_pc;
-        Some
-          {
-            Exec.sn;
-            pc;
-            instr = i;
-            next_pc = !next_pc;
-            taken = !taken;
-            addr = !addr;
-          }
-      end
+        if tgt >= 0 then Branch_pred.ras_push t.bpred (pc + 1);
+        tgt
+      | _ -> if taken then Branch_pred.btb_lookup_tgt t.bpred pc else pc + 1
+    in
+    if next_pc < 0 then None
+    else begin
+      Exec.execute w i;
+      let sn = w.Exec.steps in
+      w.Exec.steps <- sn + 1;
+      w.Exec.pc <- next_pc;
+      Some
+        { Exec.sn; pc; instr = i; next_pc; taken; addr = w.Exec.d_addr }
+    end
   end
 
 (* Begin an episode: fetch will proceed down the predicted path while
@@ -1445,14 +1308,10 @@ let wp_step t : Exec.dyn option =
    path, keeping the accounting uniform. *)
 let enter_wp_mode t (dyn : Exec.dyn) ~target =
   t.wp_mode <- true;
-  t.wp_pc <-
-    (if target >= 0 && target < Prog.length t.prog then target else -1);
-  t.wp_next_sn <- dyn.Exec.sn + 1;
+  Exec.restart t.wp
+    ~pc:(if target >= 0 && target < Prog.length t.prog then target else -1)
+    ~steps:(dyn.Exec.sn + 1);
   t.wp_iq_boundary <- -1;
-  Array.blit t.exec.Exec.iregs 0 t.wp_iregs 0 (Array.length t.wp_iregs);
-  Array.blit t.exec.Exec.fregs 0 t.wp_fregs 0 (Array.length t.wp_fregs);
-  if Hashtbl.length t.wp_imem > 0 then Hashtbl.reset t.wp_imem;
-  if Hashtbl.length t.wp_fmem > 0 then Hashtbl.reset t.wp_fmem;
   t.wp_ras_top <- Branch_pred.ras_save t.bpred t.wp_ras
 
 (* Wrong-path fetch: [fetch_stage]'s mirror, driven by [wp_step] instead
@@ -1460,9 +1319,9 @@ let enter_wp_mode t (dyn : Exec.dyn) ~target =
    predictions there are none to detect — it *defines* the path) cannot
    occur; fetch simply ends where the predicted path runs out. *)
 let wp_fetch_stage t =
-  if (not t.wp_mode) || t.wp_pc < 0 then ()
+  if (not t.wp_mode) || t.wp.Exec.pc < 0 then ()
   else begin
-    let start_pc = t.wp_pc in
+    let start_pc = t.wp.Exec.pc in
     match ifetch_stall t start_pc with
     | Some lat -> t.fetch_resume_at <- t.cycle + lat
     | None ->
@@ -1476,11 +1335,12 @@ let wp_fetch_stage t =
         && !fetched < t.cfg.Config.fetch_width
         && t.fq_count < t.cfg.Config.fetch_queue_size
       do
-        if t.wp_pc >= group_hi || t.wp_pc < 0 then continue := false
+        if t.wp.Exec.pc >= group_hi || t.wp.Exec.pc < 0 then
+          continue := false
         else
           match wp_step t with
           | None ->
-            t.wp_pc <- -1;
+            t.wp.Exec.pc <- -1;
             continue := false
           | Some dyn ->
             fq_push t dyn;
@@ -1551,20 +1411,14 @@ let fetch_stage t =
               begin
               fq_push t dyn;
               incr fetched;
-              (* Control flow: consult the predictor against the oracle,
+              (* Control flow: train the predictor against the oracle,
                  then emit one [Fetch] event capturing the outcome. *)
               (match i.Instr.op with
               | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-                let predicted_taken =
-                  Branch_pred.predict_direction t.bpred dyn.Exec.pc
-                in
-                let btb = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-                (* Train immediately: fetch order = commit order here. *)
-                Branch_pred.update_direction t.bpred dyn.Exec.pc
-                  ~taken:dyn.Exec.taken;
-                if dyn.Exec.taken then
-                  Branch_pred.btb_update t.bpred dyn.Exec.pc
-                    ~target:dyn.Exec.next_pc;
+                (* Trained immediately: fetch order = commit order on the
+                   correct path. *)
+                let btb = train_control t dyn in
+                let predicted_taken = t.d_pred_taken in
                 if predicted_taken <> dyn.Exec.taken then begin
                   t.blocked_sn <- dyn.Exec.sn;
                   continue := false;
@@ -1573,7 +1427,7 @@ let fetch_stage t =
                   if t.cfg.Config.speculative_fetch then
                     (* Keep fetching down the predicted path: not-taken
                        falls through; taken needs the BTB's pre-update
-                       idea of a target (looked up above). *)
+                       idea of a target. *)
                     enter_wp_mode t dyn
                       ~target:
                         (if predicted_taken then btb else dyn.Exec.pc + 1)
@@ -1598,39 +1452,21 @@ let fetch_stage t =
                 else
                   emit_fetch_cond t dyn ~taken:false ~mispredicted:false
                     ~btb_bubble:false
-              | Opcode.Jmp ->
+              | Opcode.Jmp | Opcode.Call ->
                 let btb_bubble =
-                  if Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc
-                     = dyn.Exec.next_pc
-                  then false
+                  if train_control t dyn = dyn.Exec.next_pc then false
                   else begin
                     t.fetch_resume_at <-
                       t.cycle + t.cfg.Config.btb_miss_penalty;
                     true
                   end
                 in
-                Branch_pred.btb_update t.bpred dyn.Exec.pc
-                  ~target:dyn.Exec.next_pc;
                 continue := false;
-                emit_fetch_jump t dyn ~btb_bubble
-              | Opcode.Call ->
-                Branch_pred.ras_push t.bpred (dyn.Exec.pc + 1);
-                let btb_bubble =
-                  if Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc
-                     = dyn.Exec.next_pc
-                  then false
-                  else begin
-                    t.fetch_resume_at <-
-                      t.cycle + t.cfg.Config.btb_miss_penalty;
-                    true
-                  end
-                in
-                Branch_pred.btb_update t.bpred dyn.Exec.pc
-                  ~target:dyn.Exec.next_pc;
-                continue := false;
-                emit_fetch_call t dyn ~btb_bubble
+                if i.Instr.op = Opcode.Jmp then
+                  emit_fetch_jump t dyn ~btb_bubble
+                else emit_fetch_call t dyn ~btb_bubble
               | Opcode.Ret ->
-                let ra = Branch_pred.ras_pop_addr t.bpred in
+                let ra = train_control t dyn in
                 let mispredicted =
                   if ra = dyn.Exec.next_pc then false
                   else begin
@@ -1824,7 +1660,7 @@ let step_cycle ?(limit = max_int) t =
     and occupancy = iq.Iq.count
     and resume = t.fetch_resume_at
     and halted = t.halted
-    and wp_pc = t.wp_pc
+    and wp_pc = t.wp.Exec.pc
     and active = iq.Iq.active_size
     and policy_limit = Policy.current_limit t.policy iq
     and scan = st.Stats.iq_scan_entries in
@@ -1839,7 +1675,7 @@ let step_cycle ?(limit = max_int) t =
       && iq.Iq.count = occupancy
       && t.fetch_resume_at = resume
       && t.halted = halted
-      && t.wp_pc = wp_pc
+      && t.wp.Exec.pc = wp_pc
       && iq.Iq.active_size = active
       && Policy.current_limit t.policy iq = policy_limit
     then begin
@@ -1890,32 +1726,15 @@ let drain ?(max_cycles = 1_000_000) t =
          (Printf.sprintf "drain: in-flight instructions did not retire \
                           within %d cycles" max_cycles))
 
-(* Event-free cache probes for fast-forward: same state transitions as
-   the detailed probes ([fetch_stage] / [load_cache_latency] /
-   [commit_one]'s store path), but no statistics and no sink traffic —
-   fast-forwarded work is outside every measured window. *)
-let ff_probe t cache addr =
-  match Cache.probe cache ~now:t.cycle addr with
-  | Cache.Hit | Cache.Inflight _ -> ()
-  | Cache.Miss ->
-    let lat =
-      match Cache.probe t.l2 ~now:t.cycle addr with
-      | Cache.Hit -> t.cfg.Config.l2_hit
-      | Cache.Inflight r -> r + 1
-      | Cache.Miss ->
-        Cache.set_fill t.l2 addr (t.cycle + t.cfg.Config.mem_latency);
-        t.cfg.Config.mem_latency
-    in
-    Cache.set_fill cache addr (t.cycle + lat)
-
 (* Functional fast-forward: execute up to [insns] oracle instructions
    with no timing model, keeping the long-lived microarchitectural state
    warm — branch-direction tables, BTB, RAS, all three caches, both
    TLBs and the policy's region state receive exactly the updates
-   detailed execution would apply (predict + train per conditional, BTB
-   touch/update per control transfer, one icache probe and ITLB train
-   per line transition, a data-cache probe and DTLB train per load and
-   store, annotations delivered in program order).
+   detailed execution would apply, through the same code: the
+   frontend's [train_control] per control transfer, an icache probe
+   ([touch_l1]) and ITLB train per line transition, a data-cache probe
+   and DTLB train per load and store, annotations delivered in program
+   order. The probes pass [~count:false].
    The cycle counter advances one cycle per instruction so cache fill
    times stay monotone; no events are emitted and no statistics change.
    Requires a drained machine (see [drain]). Returns the number of
@@ -1933,7 +1752,7 @@ let fast_forward t ~insns =
       if line <> !last_line then begin
         last_line := line;
         Tlb.train t.itlb (pc * 4);
-        ff_probe t t.il1 (pc * 4)
+        touch_l1 t t.il1 (pc * 4) ~count:false
       end;
       match Exec.step t.exec with
       | None -> t.halted <- true
@@ -1946,31 +1765,12 @@ let fast_forward t ~insns =
         | Opcode.Iqset ->
           Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc
             ~value:i.Instr.imm
-        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
-          let (_ : bool) =
-            Branch_pred.predict_direction t.bpred dyn.Exec.pc
-          in
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.update_direction t.bpred dyn.Exec.pc
-            ~taken:dyn.Exec.taken;
-          if dyn.Exec.taken then
-            Branch_pred.btb_update t.bpred dyn.Exec.pc
-              ~target:dyn.Exec.next_pc
-        | Opcode.Jmp ->
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.btb_update t.bpred dyn.Exec.pc
-            ~target:dyn.Exec.next_pc
-        | Opcode.Call ->
-          Branch_pred.ras_push t.bpred (dyn.Exec.pc + 1);
-          let (_ : int) = Branch_pred.btb_lookup_tgt t.bpred dyn.Exec.pc in
-          Branch_pred.btb_update t.bpred dyn.Exec.pc
-            ~target:dyn.Exec.next_pc
-        | Opcode.Ret ->
-          let (_ : int) = Branch_pred.ras_pop_addr t.bpred in
-          ()
+        | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
+        | Opcode.Call | Opcode.Ret ->
+          ignore (train_control t dyn : int)
         | Opcode.Load | Opcode.Fload | Opcode.Store | Opcode.Fstore ->
           Tlb.train t.dtlb dyn.Exec.addr;
-          ff_probe t t.dl1 dyn.Exec.addr
+          touch_l1 t t.dl1 dyn.Exec.addr ~count:false
         | _ -> ());
         (* A tagged instruction delivers its annotation regardless of
            opcode, as at dispatch. *)
@@ -1983,9 +1783,8 @@ let fast_forward t ~insns =
   !n
 
 (* Convenience: build, initialise memory, run. *)
-let simulate ?config ?policy ?sched ?checker ?on_commit ?init ?max_insns
-    ?max_cycles prog =
-  let t = create ?config ?policy ?sched ?checker ?on_commit prog in
+let simulate ?config ?policy ?sched ?init ?max_insns ?max_cycles prog =
+  let t = create ?config ?policy ?sched prog in
   (match init with Some f -> f t.exec | None -> ());
   run ?max_insns ?max_cycles t
 

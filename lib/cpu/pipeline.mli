@@ -88,19 +88,18 @@ type t = {
   mutable probe_pc : int;  (** the pc it probed *)
   mutable blocked_sn : int;
       (** sequence number fetch is stalled on; [-1] when not stalled *)
+  mutable d_pred_taken : bool;
+      (** frontend-training scratch: the last trained conditional's
+          predicted direction *)
   mutable wp_mode : bool;
       (** a wrong-path episode is open (one at a time, anchored at
           [blocked_sn]; a nested wrong-path mispredict only ends
           wrong-path fetch) *)
-  mutable wp_pc : int;  (** next wrong-path pc; [-1] = wp fetch idle *)
-  mutable wp_next_sn : int;
-  wp_iregs : int array;
-      (** shadow registers seeding the wrong-path executor, copied at
-          episode entry (the oracle never leaves the correct path) *)
-  wp_fregs : float array;
-  wp_imem : (int, int) Hashtbl.t;
-      (** wrong-path store overlay over the oracle's memory *)
-  wp_fmem : (int, float) Hashtbl.t;
+  wp : Sdiq_isa.Exec.state;
+      (** the wrong-path executor, an {!Sdiq_isa.Exec.overlay} on [exec]
+          restarted at episode entry (the oracle never leaves the
+          correct path); during an episode its [pc] is the next
+          wrong-path pc, [-1] once wrong-path fetch idles *)
   wp_ras : int array;  (** RAS snapshot, restored at squash *)
   mutable wp_ras_top : int;
   iq_wp : Bytes.t;
@@ -124,17 +123,9 @@ type t = {
 (** Raised by {!run} after [max_cycles] — a deadlock guard. *)
 exception Simulation_limit of string
 
-(** [?checker] and [?on_commit] are compatibility shims: they register
-    the function as an {!on_cycle_end} / {!on_commit_sink} sink.
-    [?sched] overrides [config.sched]. *)
+(** [?sched] overrides [config.sched]. *)
 val create :
-  ?config:Config.t ->
-  ?policy:Policy.t ->
-  ?sched:Sched.t ->
-  ?checker:(t -> unit) ->
-  ?on_commit:(Sdiq_isa.Exec.dyn -> unit) ->
-  Sdiq_isa.Prog.t ->
-  t
+  ?config:Config.t -> ?policy:Policy.t -> ?sched:Sched.t -> Sdiq_isa.Prog.t -> t
 
 (** Register an event sink; delivery is synchronous, in registration
     order, and a sink's exception propagates out of {!step_cycle} (the
@@ -202,8 +193,6 @@ val simulate :
   ?config:Config.t ->
   ?policy:Policy.t ->
   ?sched:Sched.t ->
-  ?checker:(t -> unit) ->
-  ?on_commit:(Sdiq_isa.Exec.dyn -> unit) ->
   ?init:(Sdiq_isa.Exec.state -> unit) ->
   ?max_insns:int ->
   ?max_cycles:int ->

@@ -40,7 +40,7 @@ val create :
 
     [checker] is a per-run observer {e factory}: it is invoked once per
     simulation (possibly on a worker domain) and the resulting hook is
-    installed as the pipeline's [?checker], so each run gets fresh,
+    registered with the pipeline's [on_cycle_end], so each run gets fresh,
     domain-local observer state. Pass
     [Sdiq_check.Checker.fresh_hook] to audit every campaign cycle. *)
 

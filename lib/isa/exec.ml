@@ -3,9 +3,12 @@
    The timing simulator is execution-driven in the SimpleScalar style: the
    functional core runs each instruction as it is fetched, producing the
    dynamic stream (branch outcomes, memory addresses, halt) that the timing
-   model then schedules. Because wrong-path instructions are never injected
-   (a misprediction stalls fetch until the branch resolves), the oracle and
-   the pipeline always agree on the committed stream.
+   model then schedules. The oracle only ever runs the correct path, so it
+   and the pipeline always agree on the committed stream. The pipeline's
+   wrong-path instructions run the same datapath ([execute]) on an
+   [overlay]: registers copied from the oracle at episode entry, stores
+   kept to itself, loads falling through to the oracle's memory — with
+   control flow decided by the branch predictor instead of [step].
 
    Arithmetic is total: integer division by zero yields 0, as does a shift
    by an out-of-range amount, so that randomly generated programs cannot
@@ -26,6 +29,8 @@ type state = {
   fregs : float array;
   imem : Intmap.t; (* open addressing: allocation-free loads *)
   fmem : (int, float) Hashtbl.t;
+  base : state option;
+      (* an overlay's base: memory this state never wrote reads from it *)
   mutable stack : int list; (* return addresses *)
   mutable pc : int;
   mutable steps : int;
@@ -37,13 +42,14 @@ type state = {
   mutable d_addr : int;
 }
 
-let create prog =
+let make prog ~imem ~base =
   {
     prog;
     iregs = Array.make Reg.num_int 0;
     fregs = Array.make Reg.num_fp 0.;
-    imem = Intmap.create 4096;
+    imem = Intmap.create imem;
     fmem = Hashtbl.create 256;
+    base;
     stack = [];
     pc = prog.Prog.entry;
     steps = 0;
@@ -53,9 +59,36 @@ let create prog =
     d_addr = -1;
   }
 
-let peek t addr = Intmap.find t.imem addr ~default:0
+let create prog = make prog ~imem:4096 ~base:None
+let overlay base = make base.prog ~imem:64 ~base:(Some base)
+
+(* Re-enter an overlay at [pc]: its stores are forgotten and its
+   registers re-copied from the base's current values. *)
+let restart t ~pc ~steps =
+  match t.base with
+  | None -> invalid_arg "Exec.restart: not an overlay"
+  | Some b ->
+    Array.blit b.iregs 0 t.iregs 0 Reg.num_int;
+    Array.blit b.fregs 0 t.fregs 0 Reg.num_fp;
+    if Intmap.count t.imem > 0 then Intmap.clear t.imem;
+    if Hashtbl.length t.fmem > 0 then Hashtbl.reset t.fmem;
+    t.pc <- pc;
+    t.steps <- steps;
+    t.halted <- false
+
+let rec peek t addr =
+  match t.base with
+  | None -> Intmap.find t.imem addr ~default:0
+  | Some b ->
+    if Intmap.mem t.imem addr then Intmap.find t.imem addr ~default:0
+    else peek b addr
+
+let rec fpeek t addr =
+  match Hashtbl.find_opt t.fmem addr with
+  | Some v -> v
+  | None -> ( match t.base with None -> 0. | Some b -> fpeek b addr)
+
 let poke t addr v = Intmap.replace t.imem addr v
-let fpeek t addr = match Hashtbl.find_opt t.fmem addr with Some v -> v | None -> 0.
 let fpoke t addr v = Hashtbl.replace t.fmem addr v
 
 let ireg t r = if r = 0 then 0 else t.iregs.(r)
@@ -85,6 +118,71 @@ let write_fp t (i : Instr.t) v =
 
 let shift_ok n = n >= 0 && n < 63
 
+(* The datapath: ALU results, loads and stores, with the effective
+   address left in [d_addr] (-1 for non-memory ops). Control transfers,
+   [Nop], [Iqset] and [Halt] have no datapath effect. *)
+let execute t (i : Instr.t) =
+  t.d_addr <- -1;
+  match i.op with
+  | Opcode.Add -> write_int t i (src1_int t i + src2_int t i)
+  | Opcode.Sub -> write_int t i (src1_int t i - src2_int t i)
+  | Opcode.And -> write_int t i (src1_int t i land src2_int t i)
+  | Opcode.Or -> write_int t i (src1_int t i lor src2_int t i)
+  | Opcode.Xor -> write_int t i (src1_int t i lxor src2_int t i)
+  | Opcode.Shl ->
+    let n = src2_int t i in
+    write_int t i (if shift_ok n then src1_int t i lsl n else 0)
+  | Opcode.Shr ->
+    let n = src2_int t i in
+    write_int t i (if shift_ok n then src1_int t i lsr n else 0)
+  | Opcode.Slt -> write_int t i (if src1_int t i < src2_int t i then 1 else 0)
+  | Opcode.Sle -> write_int t i (if src1_int t i <= src2_int t i then 1 else 0)
+  | Opcode.Seq -> write_int t i (if src1_int t i = src2_int t i then 1 else 0)
+  | Opcode.Sne -> write_int t i (if src1_int t i <> src2_int t i then 1 else 0)
+  | Opcode.Addi -> write_int t i (src1_int t i + i.imm)
+  | Opcode.Andi -> write_int t i (src1_int t i land i.imm)
+  | Opcode.Ori -> write_int t i (src1_int t i lor i.imm)
+  | Opcode.Xori -> write_int t i (src1_int t i lxor i.imm)
+  | Opcode.Shli ->
+    write_int t i (if shift_ok i.imm then src1_int t i lsl i.imm else 0)
+  | Opcode.Shri ->
+    write_int t i (if shift_ok i.imm then src1_int t i lsr i.imm else 0)
+  | Opcode.Slti -> write_int t i (if src1_int t i < i.imm then 1 else 0)
+  | Opcode.Li -> write_int t i i.imm
+  | Opcode.Mov -> write_int t i (src1_int t i)
+  | Opcode.Mul -> write_int t i (src1_int t i * src2_int t i)
+  | Opcode.Div ->
+    let d = src2_int t i in
+    write_int t i (if d = 0 then 0 else src1_int t i / d)
+  | Opcode.Fadd -> write_fp t i (src1_fp t i +. src2_fp t i)
+  | Opcode.Fsub -> write_fp t i (src1_fp t i -. src2_fp t i)
+  | Opcode.Fmul -> write_fp t i (src1_fp t i *. src2_fp t i)
+  | Opcode.Fdiv ->
+    let d = src2_fp t i in
+    write_fp t i (if d = 0. then 0. else src1_fp t i /. d)
+  | Opcode.Fli -> write_fp t i (float_of_int i.imm /. 1000.)
+  | Opcode.Fmov -> write_fp t i (src1_fp t i)
+  | Opcode.Itof -> write_fp t i (float_of_int (src1_int t i))
+  | Opcode.Ftoi -> write_int t i (int_of_float (src1_fp t i))
+  | Opcode.Load ->
+    let a = src1_int t i + i.imm in
+    t.d_addr <- a;
+    write_int t i (peek t a)
+  | Opcode.Store ->
+    let a = src1_int t i + i.imm in
+    t.d_addr <- a;
+    poke t a (src2_int t i)
+  | Opcode.Fload ->
+    let a = src1_int t i + i.imm in
+    t.d_addr <- a;
+    write_fp t i (fpeek t a)
+  | Opcode.Fstore ->
+    let a = src1_int t i + i.imm in
+    t.d_addr <- a;
+    fpoke t a (src2_fp t i)
+  | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
+  | Opcode.Call | Opcode.Ret | Opcode.Nop | Opcode.Iqset | Opcode.Halt -> ()
+
 (* Execute the instruction at [t.pc]; returns [None] once halted. *)
 let step t : dyn option =
   if t.halted then None
@@ -96,67 +194,12 @@ let step t : dyn option =
     let i = t.prog.Prog.code.(pc) in
     let sn = t.steps in
     t.steps <- sn + 1;
+    execute t i;
+    (* The oracle's control resolution: the architectural outcome. *)
     let fallthrough = pc + 1 in
     t.d_next_pc <- fallthrough;
     t.d_taken <- false;
-    t.d_addr <- -1;
     (match i.op with
-    | Opcode.Add -> write_int t i (src1_int t i + src2_int t i)
-    | Opcode.Sub -> write_int t i (src1_int t i - src2_int t i)
-    | Opcode.And -> write_int t i (src1_int t i land src2_int t i)
-    | Opcode.Or -> write_int t i (src1_int t i lor src2_int t i)
-    | Opcode.Xor -> write_int t i (src1_int t i lxor src2_int t i)
-    | Opcode.Shl ->
-      let n = src2_int t i in
-      write_int t i (if shift_ok n then src1_int t i lsl n else 0)
-    | Opcode.Shr ->
-      let n = src2_int t i in
-      write_int t i (if shift_ok n then src1_int t i lsr n else 0)
-    | Opcode.Slt -> write_int t i (if src1_int t i < src2_int t i then 1 else 0)
-    | Opcode.Sle -> write_int t i (if src1_int t i <= src2_int t i then 1 else 0)
-    | Opcode.Seq -> write_int t i (if src1_int t i = src2_int t i then 1 else 0)
-    | Opcode.Sne -> write_int t i (if src1_int t i <> src2_int t i then 1 else 0)
-    | Opcode.Addi -> write_int t i (src1_int t i + i.imm)
-    | Opcode.Andi -> write_int t i (src1_int t i land i.imm)
-    | Opcode.Ori -> write_int t i (src1_int t i lor i.imm)
-    | Opcode.Xori -> write_int t i (src1_int t i lxor i.imm)
-    | Opcode.Shli ->
-      write_int t i (if shift_ok i.imm then src1_int t i lsl i.imm else 0)
-    | Opcode.Shri ->
-      write_int t i (if shift_ok i.imm then src1_int t i lsr i.imm else 0)
-    | Opcode.Slti -> write_int t i (if src1_int t i < i.imm then 1 else 0)
-    | Opcode.Li -> write_int t i i.imm
-    | Opcode.Mov -> write_int t i (src1_int t i)
-    | Opcode.Mul -> write_int t i (src1_int t i * src2_int t i)
-    | Opcode.Div ->
-      let d = src2_int t i in
-      write_int t i (if d = 0 then 0 else src1_int t i / d)
-    | Opcode.Fadd -> write_fp t i (src1_fp t i +. src2_fp t i)
-    | Opcode.Fsub -> write_fp t i (src1_fp t i -. src2_fp t i)
-    | Opcode.Fmul -> write_fp t i (src1_fp t i *. src2_fp t i)
-    | Opcode.Fdiv ->
-      let d = src2_fp t i in
-      write_fp t i (if d = 0. then 0. else src1_fp t i /. d)
-    | Opcode.Fli -> write_fp t i (float_of_int i.imm /. 1000.)
-    | Opcode.Fmov -> write_fp t i (src1_fp t i)
-    | Opcode.Itof -> write_fp t i (float_of_int (src1_int t i))
-    | Opcode.Ftoi -> write_int t i (int_of_float (src1_fp t i))
-    | Opcode.Load ->
-      let a = src1_int t i + i.imm in
-      t.d_addr <- a;
-      write_int t i (peek t a)
-    | Opcode.Store ->
-      let a = src1_int t i + i.imm in
-      t.d_addr <- a;
-      poke t a (src2_int t i)
-    | Opcode.Fload ->
-      let a = src1_int t i + i.imm in
-      t.d_addr <- a;
-      write_fp t i (fpeek t a)
-    | Opcode.Fstore ->
-      let a = src1_int t i + i.imm in
-      t.d_addr <- a;
-      fpoke t a (src2_fp t i)
     | Opcode.Beq ->
       if src1_int t i = src2_int t i then (t.d_taken <- true; t.d_next_pc <- i.target)
     | Opcode.Bne ->
@@ -179,8 +222,8 @@ let step t : dyn option =
         t.stack <- rest;
         t.d_next_pc <- ra
       | [] -> t.halted <- true (* return from the entry procedure *))
-    | Opcode.Nop | Opcode.Iqset -> ()
-    | Opcode.Halt -> t.halted <- true);
+    | Opcode.Halt -> t.halted <- true
+    | _ -> ());
     t.pc <- t.d_next_pc;
     Some
       {

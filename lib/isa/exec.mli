@@ -4,7 +4,12 @@
     each instruction as it is fetched, producing the dynamic stream the
     timing model schedules. Arithmetic is total (division by zero yields
     0, out-of-range shifts yield 0, unwritten memory reads 0) so randomly
-    generated programs cannot fault. *)
+    generated programs cannot fault.
+
+    One datapath ({!execute}) serves every executor: the oracle's
+    {!step} adds the architectural control resolution, and the
+    pipeline's wrong-path executor runs it on an {!overlay} with
+    control flow taken from the branch predictor. *)
 
 type dyn = {
   sn : int;       (** dynamic sequence number, from 0 *)
@@ -21,6 +26,8 @@ type state = {
   fregs : float array;
   imem : Intmap.t;  (** integer memory (open addressing) *)
   fmem : (int, float) Hashtbl.t;
+  base : state option;
+      (** an overlay's base state ({!overlay}); [None] for the oracle *)
   mutable stack : int list;
   mutable pc : int;
   mutable steps : int;
@@ -34,18 +41,35 @@ type state = {
 
 val create : Prog.t -> state
 
-(** Shift amounts outside [0, 63) make the result 0 (total semantics);
-    exported so the pipeline's wrong-path executor matches exactly. *)
-val shift_ok : int -> bool
+(** [overlay base]: a state over [base]'s program whose stores stay its
+    own and whose loads read [base]'s memory at every address it has
+    not written. Its registers are copies taken by {!restart}, which
+    must run before its first {!execute}. [base] is never mutated
+    through it. *)
+val overlay : state -> state
 
-(** Integer memory access (word granularity; unwritten reads 0). *)
+(** Re-enter an overlay at [pc] with [steps] as its next sequence
+    number: forget its stores, re-copy the base's registers and clear
+    [halted]. Raises [Invalid_argument] on a non-overlay state. *)
+val restart : state -> pc:int -> steps:int -> unit
+
+(** Integer memory access (word granularity; unwritten reads 0; an
+    overlay falls through to its base). *)
 val peek : state -> int -> int
 
 val poke : state -> int -> int -> unit
 val fpeek : state -> int -> float
 val fpoke : state -> int -> float -> unit
 
-(** Execute the instruction at the current pc; [None] once halted. *)
+(** The datapath of one instruction: ALU results, loads and stores,
+    with the effective address in [d_addr] ([-1] for non-memory ops).
+    Control transfers, [Nop], [Iqset] and [Halt] change nothing but
+    [d_addr]; [pc], [steps] and [halted] are the caller's. *)
+val execute : state -> Instr.t -> unit
+
+(** Execute the instruction at the current pc — {!execute}, then the
+    architectural control resolution — and advance; [None] once
+    halted. *)
 val step : state -> dyn option
 
 (** Run to completion or [max_steps]; returns executed instructions. *)

@@ -3,7 +3,8 @@
    [Hashtbl] costs a generic hash, a structural key compare and an
    option allocation per probe; this map is a power-of-two table with
    multiplicative hashing and linear probing — allocation-free lookups,
-   no deletion (the oracle only writes and reads memory). Lookup of an
+   no single-key deletion (memory is only written and read; an overlay
+   is emptied whole by [clear]). Lookup of an
    absent key yields [default], matching the "unwritten memory reads 0"
    semantics. *)
 
@@ -69,6 +70,19 @@ let rec replace t k v =
     Bytes.unsafe_set t.used !i '\001';
     t.count <- t.count + 1
   end
+
+let mem t k =
+  let i = ref (slot_of t k) in
+  while
+    Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
+  do
+    i := (!i + 1) land t.mask
+  done;
+  Bytes.unsafe_get t.used !i = '\001'
+
+let clear t =
+  Bytes.fill t.used 0 (Bytes.length t.used) '\000';
+  t.count <- 0
 
 let count t = t.count
 

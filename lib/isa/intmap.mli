@@ -1,6 +1,6 @@
 (** Open-addressing int-keyed int map (the oracle's data memory):
     power-of-two capacity, multiplicative hashing, linear probing,
-    allocation-free lookups, no deletion. *)
+    allocation-free lookups, no single-key deletion. *)
 
 type t
 
@@ -12,6 +12,12 @@ val find : t -> int -> default:int -> int
 
 (** Bind [k] to [v], replacing any previous binding. *)
 val replace : t -> int -> int -> unit
+
+(** Whether [k] is bound. *)
+val mem : t -> int -> bool
+
+(** Remove every binding, keeping the capacity. *)
+val clear : t -> unit
 
 (** Number of bindings. *)
 val count : t -> int

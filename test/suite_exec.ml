@@ -242,6 +242,55 @@ let test_max_steps_bound () =
   let steps = Exec.run ~max_steps:100 st in
   Alcotest.(check int) "bounded" 100 steps
 
+(* The wrong-path overlay: the datapath of [Exec.execute] over copied
+   registers and private stores, with loads falling through to the base
+   for every address the overlay never wrote. *)
+let test_overlay () =
+  let b = Asm.create () in
+  Asm.halt (Asm.proc b "main");
+  let base = Exec.create (Asm.assemble b ~entry:"main") in
+  Exec.poke base 100 7;
+  Exec.fpoke base 200 2.5;
+  base.Exec.iregs.(1) <- 100;
+  base.Exec.iregs.(2) <- 11;
+  base.Exec.fregs.(1) <- 1.5;
+  let ov = Exec.overlay base in
+  Exec.restart ov ~pc:0 ~steps:5;
+  let exec i = Exec.execute ov i in
+  let mk = Instr.make in
+  exec (mk ~dst:(r 3) ~src1:(r 1) ~imm:0 Opcode.Load);
+  Alcotest.(check int) "int load falls through" 7 ov.Exec.iregs.(3);
+  Alcotest.(check int) "load address" 100 ov.Exec.d_addr;
+  exec (mk ~dst:(f 2) ~src1:(r 1) ~imm:100 Opcode.Fload);
+  Alcotest.(check (float 0.)) "fp load falls through" 2.5 ov.Exec.fregs.(2);
+  exec (mk ~src1:(r 1) ~src2:(r 2) ~imm:0 Opcode.Store);
+  exec (mk ~src1:(r 1) ~src2:(f 1) ~imm:100 Opcode.Fstore);
+  exec (mk ~dst:(r 4) ~src1:(r 1) ~imm:0 Opcode.Load);
+  Alcotest.(check int) "overlay reads its own store" 11 ov.Exec.iregs.(4);
+  Alcotest.(check int) "overlay peek" 11 (Exec.peek ov 100);
+  Alcotest.(check (float 0.)) "overlay fpeek" 1.5 (Exec.fpeek ov 200);
+  Alcotest.(check int) "base int memory untouched" 7 (Exec.peek base 100);
+  Alcotest.(check (float 0.)) "base fp memory untouched" 2.5
+    (Exec.fpeek base 200);
+  Alcotest.(check int) "base registers untouched" 0 base.Exec.iregs.(3);
+  exec (mk ~dst:Reg.zero ~imm:9 Opcode.Li);
+  Alcotest.(check int) "r0 stays 0" 0 ov.Exec.iregs.(0);
+  exec (mk ~dst:(r 5) ~src1:Reg.zero ~imm:3 Opcode.Addi);
+  Alcotest.(check int) "r0 reads 0" 3 ov.Exec.iregs.(5);
+  base.Exec.iregs.(2) <- 12;
+  Exec.restart ov ~pc:3 ~steps:9;
+  Alcotest.(check int) "restart pc" 3 ov.Exec.pc;
+  Alcotest.(check int) "restart steps" 9 ov.Exec.steps;
+  Alcotest.(check int) "restart forgets int stores" 7 (Exec.peek ov 100);
+  Alcotest.(check (float 0.)) "restart forgets fp stores" 2.5
+    (Exec.fpeek ov 200);
+  Alcotest.(check int) "restart re-copies registers" 12 ov.Exec.iregs.(2);
+  Alcotest.(check int) "restart drops overlay-only values" 0
+    ov.Exec.iregs.(4);
+  Alcotest.check_raises "restart needs an overlay"
+    (Invalid_argument "Exec.restart: not an overlay") (fun () ->
+      Exec.restart base ~pc:0 ~steps:0)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -258,4 +307,5 @@ let suite =
     Alcotest.test_case "iqset is a semantic nop" `Quick
       test_iqset_is_semantic_nop;
     Alcotest.test_case "max steps bound" `Quick test_max_steps_bound;
+    Alcotest.test_case "overlay over a base state" `Quick test_overlay;
   ]
