@@ -4,7 +4,7 @@ DOMAINS ?= 4
 BENCH   := _build/default/bench/main.exe
 FUZZ_N  ?= 500
 
-.PHONY: all build test lint tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry
+.PHONY: all build test lint tighten-audit campaign fuzz check-campaign trace profile policy-grid telemetry bench-smoke
 
 all: build lint
 
@@ -145,3 +145,23 @@ check-campaign:
 	  done; \
 	done
 	@echo "check-campaign: all pairs audited cycle-by-cycle"
+
+# Full-scale digest smoke of the repository benchmark: exactly one round
+# (--seconds 0) of the sampled workload at seed 0 and of the detailed
+# workload at seed 1, each pair checked against its reference digest in
+# perfbench/expected.txt. perfbench/main.exe reports a mismatch or a
+# failed pair in its JSON result line ("correct", "failed") rather than
+# its exit code, so the line is checked here. The tier-1 tests run the
+# benchmark only at tiny scale.
+bench-smoke:
+	@mkdir -p _build
+	@for run in "sampled --seed 0" "detailed --seed 1"; do \
+	  python3 perfbench/run.py --workload $$run --seconds 0 --trace 0 \
+	    > _build/bench-smoke.out || exit 1; \
+	  tail -1 _build/bench-smoke.out | python3 -c \
+	    'import json, sys; r = json.load(sys.stdin); \
+	     print("bench-smoke %s: %d pairs, %d failed, correct %s" \
+	           % (sys.argv[1], r["attempted"], r["failed"], r["correct"])); \
+	     sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)' \
+	    "$$run" || { grep -v '^digest' _build/bench-smoke.out >&2; exit 1; }; \
+	done

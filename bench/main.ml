@@ -120,6 +120,37 @@ let bench_simulation_fast () =
     ~config:{ H.Sampling.ff_len = 2_000; warmup_len = 300; window_len = 300 }
     p
 
+(* Fast-forward primitives on a warmed gzip, timed over [ff_batch]
+   instructions a run and reported per instruction: [oracle-advance] is
+   [Exec.advance] on the oracle alone, [fast-forward] is
+   [Pipeline.fast_forward] with the frontend, caches and TLBs trained.
+   A halted program is rebuilt and re-warmed (a 200k-instruction
+   fast-forward) inside a timed run, but only once per ~12M
+   instructions. *)
+let ff_batch = 1000
+
+let warm_gzip () =
+  let bench = Sdiq_workloads.W_gzip.build ~outer:250_000 () in
+  let p = Sdiq_cpu.Pipeline.create bench.Sdiq_workloads.Bench.prog in
+  bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
+  ignore (Sdiq_cpu.Pipeline.fast_forward p ~insns:200_000 : int);
+  p
+
+let ff_primitives () =
+  let oracle = ref (warm_gzip ()).Sdiq_cpu.Pipeline.exec in
+  let advance () =
+    for _ = 1 to ff_batch do
+      if not (Sdiq_isa.Exec.advance !oracle) then
+        oracle := (warm_gzip ()).Sdiq_cpu.Pipeline.exec
+    done
+  in
+  let p = ref (warm_gzip ()) in
+  let ff () =
+    if Sdiq_cpu.Pipeline.fast_forward !p ~insns:ff_batch < ff_batch then
+      p := warm_gzip ()
+  in
+  (advance, ff)
+
 let bench_experiment name f =
   Test.make ~name (Staged.stage (fun () -> Sys.opaque_identity (f ())))
 
@@ -159,6 +190,7 @@ let micro_tests () =
           Opcode.Addi)
   in
   let counter = ref 0 in
+  let advance, ff = ff_primitives () in
   [
     Test.make ~name:"iq-wakeup-select"
       (Staged.stage (fun () -> Sys.opaque_identity (wakeup_select ())));
@@ -189,6 +221,8 @@ let micro_tests () =
     bench_experiment "simulate-checked" (fun () ->
         bench_simulation ~variant:`Checked ());
     bench_experiment "simulate-fast" (fun () -> bench_simulation_fast ());
+    Test.make ~name:"oracle-advance" (Staged.stage advance);
+    Test.make ~name:"fast-forward" (Staged.stage ff);
     (* scheduler-policy axis: the same nosink run under a bounded select
        scan and under load-delay wakeup suppression — against
        simulate-nosink these price the policy's host-side overhead *)
@@ -219,9 +253,12 @@ let run_micro () =
   let tests = Test.make_grouped ~name:"sdiq" ~fmt:"%s %s" (micro_tests ()) in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let per_insn = [ "sdiq oracle-advance"; "sdiq fast-forward" ] in
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with
+      | Some [ t ] when List.mem name per_insn ->
+        Fmt.pr "  %-28s %12.1f ns/insn@." name (t /. float_of_int ff_batch)
       | Some [ t ] -> Fmt.pr "  %-28s %12.1f ns/run@." name t
       | Some _ | None -> Fmt.pr "  %-28s (no estimate)@." name)
     results

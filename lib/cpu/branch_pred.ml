@@ -18,6 +18,7 @@ type t = {
   selector_mask : int;
   (* BTB: sets x ways of (pc tag, target, lru) *)
   btb_sets : int;
+  btb_mask : int; (* set-index mask, as the table masks above *)
   btb_ways : int;
   btb_tag : int array;
   btb_target : int array;
@@ -45,6 +46,7 @@ let create (cfg : Config.t) =
     gshare_mask = pow2_mask cfg.Config.gshare_size;
     selector_mask = pow2_mask cfg.Config.selector_size;
     btb_sets = cfg.Config.btb_sets;
+    btb_mask = pow2_mask cfg.Config.btb_sets;
     btb_ways = cfg.Config.btb_ways;
     btb_tag = Array.make (cfg.Config.btb_sets * cfg.Config.btb_ways) (-1);
     btb_target = Array.make (cfg.Config.btb_sets * cfg.Config.btb_ways) (-1);
@@ -103,41 +105,45 @@ let update_direction t pc ~taken =
   t.history <- ((t.history lsl 1) lor (if taken then 1 else 0))
                land ((1 lsl t.gshare_hist_bits) - 1)
 
-(* BTB lookup: the predicted target of the control instruction at [pc],
-   or [-1] on a BTB miss (stored targets are program addresses, ≥ 0).
-   Allocation-free — the pipeline's fetch loop calls this per control
-   instruction. *)
-let btb_lookup_tgt t pc =
-  let set = pc mod t.btb_sets in
-  let base = set * t.btb_ways in
+let btb_base t pc =
+  (if t.btb_mask >= 0 then pc land t.btb_mask else pc mod t.btb_sets)
+  * t.btb_ways
+
+(* The way of [base]'s set holding [pc], or [btb_ways] when none does. *)
+let btb_find t base pc =
   let w = ref 0 in
   while !w < t.btb_ways && t.btb_tag.(base + !w) <> pc do
     incr w
   done;
-  if !w < t.btb_ways then begin
+  !w
+
+(* BTB lookup: the predicted target of the control instruction at [pc],
+   or [-1] on a BTB miss (stored targets are program addresses, ≥ 0).
+   Lookup and update allocate nothing — the pipeline's fetch loop and
+   fast-forward call them per control instruction. *)
+let btb_lookup_tgt t pc =
+  let base = btb_base t pc in
+  let w = btb_find t base pc in
+  if w < t.btb_ways then begin
     t.btb_clock <- t.btb_clock + 1;
-    t.btb_lru.(base + !w) <- t.btb_clock;
-    t.btb_target.(base + !w)
+    t.btb_lru.(base + w) <- t.btb_clock;
+    t.btb_target.(base + w)
   end
   else -1
 
 let btb_update t pc ~target =
-  let set = pc mod t.btb_sets in
-  let base = set * t.btb_ways in
+  let base = btb_base t pc in
   t.btb_clock <- t.btb_clock + 1;
-  let rec find w = if w >= t.btb_ways then None
-    else if t.btb_tag.(base + w) = pc then Some w
-    else find (w + 1)
-  in
+  let w = btb_find t base pc in
   let w =
-    match find 0 with
-    | Some w -> w
-    | None ->
+    if w < t.btb_ways then w
+    else begin
       let victim = ref 0 in
       for w = 1 to t.btb_ways - 1 do
         if t.btb_lru.(base + w) < t.btb_lru.(base + !victim) then victim := w
       done;
       !victim
+    end
   in
   t.btb_tag.(base + w) <- pc;
   t.btb_target.(base + w) <- target;

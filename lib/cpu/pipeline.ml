@@ -736,7 +736,7 @@ let writeback_stage t =
         if t.blocked_sn = dyn.Exec.sn then begin
           t.blocked_sn <- -1;
           t.fetch_resume_at <-
-            max t.fetch_resume_at
+            Int.max t.fetch_resume_at
               (t.cycle + 1 + t.cfg.Config.mispredict_redirect);
           (* Speculative episode: squash after the wakeup broadcast. *)
           if t.wp_mode then resolved := idx
@@ -965,7 +965,7 @@ let issue_stage t =
               incr j
             done;
             rel.(!j) <- t.cycle + lat;
-            t.unpipe_busy_until <- max t.unpipe_busy_until (t.cycle + lat)
+            t.unpipe_busy_until <- Int.max t.unpipe_busy_until (t.cycle + lat)
           end;
           schedule_completion t rob_idx lat
         end
@@ -1223,27 +1223,26 @@ let ifetch_stall t start_pc =
 
 (* --- frontend training ---------------------------------------------------- *)
 
-(* Train the frontend on the correct-path control instruction [dyn], as
-   both detailed fetch and fast-forward do: a conditional predicts, looks
-   up the BTB, trains the direction tables and, if taken, the BTB; a jump
-   or call (after pushing its return address) looks up and updates the
-   BTB; a return pops the RAS. Returns the target predicted before
-   training — the BTB's, or the RAS's for a return; -1 for none — and
-   leaves a conditional's predicted direction in [d_pred_taken]. *)
-let train_control t (dyn : Exec.dyn) =
-  let pc = dyn.Exec.pc in
-  match dyn.Exec.instr.Instr.op with
+(* Train the frontend on the correct-path control instruction [instr]
+   at [pc], resolved [~taken] to [~next_pc], as both detailed fetch and
+   fast-forward do: a conditional predicts, looks up the BTB, trains the
+   direction tables and, if taken, the BTB; a jump or call (after
+   pushing its return address) looks up and updates the BTB; a return
+   pops the RAS. Returns the target predicted before training — the
+   BTB's, or the RAS's for a return; -1 for none — and leaves a
+   conditional's predicted direction in [d_pred_taken]. *)
+let train_control t pc (instr : Instr.t) ~taken ~next_pc =
+  match instr.Instr.op with
   | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
     t.d_pred_taken <- Branch_pred.predict_direction t.bpred pc;
     let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-    Branch_pred.update_direction t.bpred pc ~taken:dyn.Exec.taken;
-    if dyn.Exec.taken then
-      Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    Branch_pred.update_direction t.bpred pc ~taken;
+    if taken then Branch_pred.btb_update t.bpred pc ~target:next_pc;
     tgt
   | Opcode.Jmp | Opcode.Call as op ->
     if op = Opcode.Call then Branch_pred.ras_push t.bpred (pc + 1);
     let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
-    Branch_pred.btb_update t.bpred pc ~target:dyn.Exec.next_pc;
+    Branch_pred.btb_update t.bpred pc ~target:next_pc;
     tgt
   | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
   | _ -> -1
@@ -1417,7 +1416,10 @@ let fetch_stage t =
               | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
                 (* Trained immediately: fetch order = commit order on the
                    correct path. *)
-                let btb = train_control t dyn in
+                let btb =
+                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                    ~next_pc:dyn.Exec.next_pc
+                in
                 let predicted_taken = t.d_pred_taken in
                 if predicted_taken <> dyn.Exec.taken then begin
                   t.blocked_sn <- dyn.Exec.sn;
@@ -1453,8 +1455,12 @@ let fetch_stage t =
                   emit_fetch_cond t dyn ~taken:false ~mispredicted:false
                     ~btb_bubble:false
               | Opcode.Jmp | Opcode.Call ->
+                let btb =
+                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                    ~next_pc:dyn.Exec.next_pc
+                in
                 let btb_bubble =
-                  if train_control t dyn = dyn.Exec.next_pc then false
+                  if btb = dyn.Exec.next_pc then false
                   else begin
                     t.fetch_resume_at <-
                       t.cycle + t.cfg.Config.btb_miss_penalty;
@@ -1466,7 +1472,10 @@ let fetch_stage t =
                   emit_fetch_jump t dyn ~btb_bubble
                 else emit_fetch_call t dyn ~btb_bubble
               | Opcode.Ret ->
-                let ra = train_control t dyn in
+                let ra =
+                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                    ~next_pc:dyn.Exec.next_pc
+                in
                 let mispredicted =
                   if ra = dyn.Exec.next_pc then false
                   else begin
@@ -1737,47 +1746,57 @@ let drain ?(max_cycles = 1_000_000) t =
    order. The probes pass [~count:false].
    The cycle counter advances one cycle per instruction so cache fill
    times stay monotone; no events are emitted and no statistics change.
+   The oracle runs through [Exec.advance], so no [dyn] record is built,
+   and a line transition is a compare against the current line's pc
+   bounds instead of a division per instruction.
    Requires a drained machine (see [drain]). Returns the number of
    instructions actually skipped (fewer than [insns] only at halt). *)
 let fast_forward t ~insns =
   if not (in_flight_empty t) then
     invalid_arg "Pipeline.fast_forward: pipeline not drained";
+  let ex = t.exec in
+  let code = t.prog.Prog.code in
+  let il1_line = t.cfg.Config.il1_line in
   let n = ref 0 in
-  let last_line = ref min_int in
+  (* The pcs of the IL1 line last probed, [line_lo, line_hi); empty at
+     entry so the first instruction probes. *)
+  let line_lo = ref 0 and line_hi = ref 0 in
   while !n < insns && not t.halted do
-    let pc = t.exec.Exec.pc in
-    if pc < 0 || pc >= Prog.length t.prog then t.halted <- true
+    let pc = ex.Exec.pc in
+    if pc < 0 || pc >= Array.length code then t.halted <- true
     else begin
-      let line = line_of t pc in
-      if line <> !last_line then begin
-        last_line := line;
+      if pc < !line_lo || pc >= !line_hi then begin
+        let line = line_of t pc in
+        line_lo := ((line * il1_line) + 3) / 4;
+        line_hi := (((line + 1) * il1_line) + 3) / 4;
         Tlb.train t.itlb (pc * 4);
         touch_l1 t t.il1 (pc * 4) ~count:false
       end;
-      match Exec.step t.exec with
-      | None -> t.halted <- true
-      | Some dyn ->
+      if not (Exec.advance ex) then t.halted <- true
+      else begin
         incr n;
         t.cycle <- t.cycle + 1;
-        let i = dyn.Exec.instr in
+        let i = Array.unsafe_get code pc in
         (match i.Instr.op with
         | Opcode.Halt -> t.halted <- true
         | Opcode.Iqset ->
-          Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc
-            ~value:i.Instr.imm
+          Policy.on_annotation t.policy t.iq ~pc ~value:i.Instr.imm
         | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
         | Opcode.Call | Opcode.Ret ->
-          ignore (train_control t dyn : int)
+          ignore
+            (train_control t pc i ~taken:ex.Exec.d_taken
+               ~next_pc:ex.Exec.d_next_pc
+              : int)
         | Opcode.Load | Opcode.Fload | Opcode.Store | Opcode.Fstore ->
-          Tlb.train t.dtlb dyn.Exec.addr;
-          touch_l1 t t.dl1 dyn.Exec.addr ~count:false
+          Tlb.train t.dtlb ex.Exec.d_addr;
+          touch_l1 t t.dl1 ex.Exec.d_addr ~count:false
         | _ -> ());
         (* A tagged instruction delivers its annotation regardless of
            opcode, as at dispatch. *)
-        (match i.Instr.tag with
-        | Some v ->
-          Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc ~value:v
-        | None -> ())
+        match i.Instr.tag with
+        | Some v -> Policy.on_annotation t.policy t.iq ~pc ~value:v
+        | None -> ()
+      end
     end
   done;
   !n

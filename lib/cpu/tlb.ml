@@ -15,6 +15,8 @@ type t = {
   page_shift : int;
   tags : int array;         (* virtual page number, -1 when empty *)
   stamps : int array;       (* last-use clock for LRU *)
+  mutable mru : int;
+      (* the entry the last access hit or installed; -1 before any *)
   mutable clock : int;
   mutable lookups : int;
   mutable misses : int;
@@ -34,6 +36,7 @@ let create ~entries ~page_size =
     page_shift = shift;
     tags = Array.make entries (-1);
     stamps = Array.make entries 0;
+    mru = -1;
     clock = 0;
     lookups = 0;
     misses = 0;
@@ -42,17 +45,29 @@ let create ~entries ~page_size =
 let page_of t addr = addr asr t.page_shift
 
 (* Probe for [addr]'s page; on a miss, install it over the LRU entry.
-   Returns [true] on a hit. *)
+   Returns [true] on a hit. The most recently used entry is checked
+   before the scan. That is exact: a real page occupies at most one
+   entry, and only the empty entries' initial -1 tags repeat — page -1
+   resolves to the scan's last match, and [mru] is only ever an entry an
+   access actually chose. *)
 let access t addr =
   let page = page_of t addr in
   t.clock <- t.clock + 1;
   t.lookups <- t.lookups + 1;
-  let hit = ref (-1) in
-  for i = 0 to t.entries - 1 do
-    if Array.unsafe_get t.tags i = page then hit := i
-  done;
-  if !hit >= 0 then begin
-    Array.unsafe_set t.stamps !hit t.clock;
+  let hit =
+    let m = t.mru in
+    if m >= 0 && Array.unsafe_get t.tags m = page then m
+    else begin
+      let hit = ref (-1) in
+      for i = 0 to t.entries - 1 do
+        if Array.unsafe_get t.tags i = page then hit := i
+      done;
+      !hit
+    end
+  in
+  if hit >= 0 then begin
+    Array.unsafe_set t.stamps hit t.clock;
+    t.mru <- hit;
     true
   end
   else begin
@@ -64,6 +79,7 @@ let access t addr =
     done;
     Array.unsafe_set t.tags !victim page;
     Array.unsafe_set t.stamps !victim t.clock;
+    t.mru <- !victim;
     false
   end
 
@@ -71,6 +87,8 @@ let access t addr =
    the sampling fast-forward, which must train the TLB exactly as
    detailed fetch/issue would but emits no events. *)
 let train t addr = ignore (access t addr : bool)
+
+let contents t = Array.init t.entries (fun i -> (t.tags.(i), t.stamps.(i)))
 
 let lookups t = t.lookups
 let misses t = t.misses

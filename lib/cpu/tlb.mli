@@ -21,5 +21,9 @@ val access : t -> int -> bool
     fast-forward). *)
 val train : t -> int -> unit
 
+(** The (page, LRU stamp) of every entry, in slot order; page [-1] when
+    the entry is empty. *)
+val contents : t -> (int * int) array
+
 val lookups : t -> int
 val misses : t -> int

@@ -4,11 +4,21 @@
    functional core runs each instruction as it is fetched, producing the
    dynamic stream (branch outcomes, memory addresses, halt) that the timing
    model then schedules. The oracle only ever runs the correct path, so it
-   and the pipeline always agree on the committed stream. The pipeline's
-   wrong-path instructions run the same datapath ([execute]) on an
-   [overlay]: registers copied from the oracle at episode entry, stores
-   kept to itself, loads falling through to the oracle's memory — with
-   control flow decided by the branch predictor instead of [step].
+   and the pipeline always agree on the committed stream.
+
+   One datapath ([execute]) serves every executor, and one function
+   ([advance]) resolves the oracle's control flow. [advance] allocates
+   nothing per instruction and leaves its outcome in the state's [d_*]
+   fields: fast-forward and [run] use it directly, and [step] is
+   [advance] plus the [dyn] record detailed fetch keeps. The pipeline's
+   wrong-path instructions run [execute] on an [overlay]: registers
+   copied from the oracle at episode entry, stores kept to itself, loads
+   falling through to the oracle's memory — with control flow decided by
+   the branch predictor instead of [advance].
+
+   Integer memory is a paged [Intmap] (dense pages for word-aligned
+   addresses, a residue table for the rest); fp memory, which no kernel
+   binds, stays a [Hashtbl].
 
    Arithmetic is total: integer division by zero yields 0, as does a shift
    by an out-of-range amount, so that randomly generated programs cannot
@@ -27,7 +37,7 @@ type state = {
   prog : Prog.t;
   iregs : int array;
   fregs : float array;
-  imem : Intmap.t; (* open addressing: allocation-free loads *)
+  imem : Intmap.t; (* paged: allocation-free loads *)
   fmem : (int, float) Hashtbl.t;
   base : state option;
       (* an overlay's base: memory this state never wrote reads from it *)
@@ -35,8 +45,8 @@ type state = {
   mutable pc : int;
   mutable steps : int;
   mutable halted : bool;
-  (* [step] scratch: OCaml would box [ref] cells, so the per-instruction
-     outcome fields live on the state instead (DESIGN.md §13) *)
+  (* [advance]'s outcome: OCaml would box [ref] cells, so the
+     per-instruction outcome fields live on the state (DESIGN.md §13) *)
   mutable d_next_pc : int;
   mutable d_taken : bool;
   mutable d_addr : int;
@@ -183,19 +193,21 @@ let execute t (i : Instr.t) =
   | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
   | Opcode.Call | Opcode.Ret | Opcode.Nop | Opcode.Iqset | Opcode.Halt -> ()
 
-(* Execute the instruction at [t.pc]; returns [None] once halted. *)
-let step t : dyn option =
-  if t.halted then None
+(* Execute the instruction at [t.pc] and move to the next: [execute],
+   then the oracle's control resolution, the one place the architectural
+   outcome of a control transfer is decided. The outcome is left in
+   [d_next_pc]/[d_taken]/[d_addr]; [false] (nothing executed) once
+   halted. Allocates nothing but a call's return-address cons. *)
+let advance t =
+  if t.halted then false
   else if t.pc < 0 || t.pc >= Array.length t.prog.Prog.code then (
     t.halted <- true;
-    None)
+    false)
   else begin
     let pc = t.pc in
-    let i = t.prog.Prog.code.(pc) in
-    let sn = t.steps in
-    t.steps <- sn + 1;
+    let i = Array.unsafe_get t.prog.Prog.code pc in
+    t.steps <- t.steps + 1;
     execute t i;
-    (* The oracle's control resolution: the architectural outcome. *)
     let fallthrough = pc + 1 in
     t.d_next_pc <- fallthrough;
     t.d_taken <- false;
@@ -225,25 +237,26 @@ let step t : dyn option =
     | Opcode.Halt -> t.halted <- true
     | _ -> ());
     t.pc <- t.d_next_pc;
+    true
+  end
+
+(* [advance], with the outcome as a [dyn] record; [None] once halted. *)
+let step t : dyn option =
+  let pc = t.pc in
+  if advance t then
     Some
       {
-        sn;
+        sn = t.steps - 1;
         pc;
-        instr = i;
+        instr = t.prog.Prog.code.(pc);
         next_pc = t.d_next_pc;
         taken = t.d_taken;
         addr = t.d_addr;
       }
-  end
+  else None
 
 (* Run to completion (or [max_steps]); returns the number of executed
    instructions. *)
 let run ?(max_steps = 10_000_000) t =
-  let rec loop n =
-    if n >= max_steps then n
-    else
-      match step t with
-      | None -> n
-      | Some _ -> loop (n + 1)
-  in
+  let rec loop n = if n < max_steps && advance t then loop (n + 1) else n in
   loop 0

@@ -7,9 +7,10 @@
     generated programs cannot fault.
 
     One datapath ({!execute}) serves every executor: the oracle's
-    {!step} adds the architectural control resolution, and the
-    pipeline's wrong-path executor runs it on an {!overlay} with
-    control flow taken from the branch predictor. *)
+    {!advance} adds the architectural control resolution (the only one),
+    {!step} is {!advance} plus a {!dyn} record, and the pipeline's
+    wrong-path executor runs {!execute} on an {!overlay} with control
+    flow taken from the branch predictor. *)
 
 type dyn = {
   sn : int;       (** dynamic sequence number, from 0 *)
@@ -24,7 +25,7 @@ type state = {
   prog : Prog.t;
   iregs : int array;
   fregs : float array;
-  imem : Intmap.t;  (** integer memory (open addressing) *)
+  imem : Intmap.t;  (** integer memory (paged, see {!Intmap}) *)
   fmem : (int, float) Hashtbl.t;
   base : state option;
       (** an overlay's base state ({!overlay}); [None] for the oracle *)
@@ -33,8 +34,9 @@ type state = {
   mutable steps : int;
   mutable halted : bool;
   mutable d_next_pc : int;
-      (** [step] scratch (unboxed outcome fields); not meaningful between
-          calls *)
+      (** the last {!advance}'s outcome (unboxed fields): the next pc,
+          whether a control transfer was taken, and the memory address
+          ([-1] for non-memory ops) *)
   mutable d_taken : bool;
   mutable d_addr : int;
 }
@@ -50,7 +52,9 @@ val overlay : state -> state
 
 (** Re-enter an overlay at [pc] with [steps] as its next sequence
     number: forget its stores, re-copy the base's registers and clear
-    [halted]. Raises [Invalid_argument] on a non-overlay state. *)
+    [halted]. Costs O(cells the last episode wrote) and, once the
+    overlay's pages exist, allocates nothing. Raises [Invalid_argument]
+    on a non-overlay state. *)
 val restart : state -> pc:int -> steps:int -> unit
 
 (** Integer memory access (word granularity; unwritten reads 0; an
@@ -68,7 +72,14 @@ val fpoke : state -> int -> float -> unit
 val execute : state -> Instr.t -> unit
 
 (** Execute the instruction at the current pc — {!execute}, then the
-    architectural control resolution — and advance; [None] once
+    architectural control resolution — and move to the next, leaving
+    the outcome in [d_next_pc], [d_taken] and [d_addr] and the executed
+    instruction's sequence number in [steps - 1]. [false], with nothing
+    executed, once halted. Allocates nothing but a call's return-address
+    cell. *)
+val advance : state -> bool
+
+(** {!advance}, with the outcome as a {!dyn} record; [None] once
     halted. *)
 val step : state -> dyn option
 

@@ -1,92 +1,230 @@
-(* Open-addressing int-keyed int map for the oracle's data memory.
+(* Paged int-keyed int map for the oracle's data memory.
 
-   [Hashtbl] costs a generic hash, a structural key compare and an
-   option allocation per probe; this map is a power-of-two table with
-   multiplicative hashing and linear probing — allocation-free lookups,
-   no single-key deletion (memory is only written and read; an overlay
-   is emptied whole by [clear]). Lookup of an
-   absent key yields [default], matching the "unwritten memory reads 0"
-   semantics. *)
+   Addresses are byte addresses and the kernels touch words, so a
+   word-aligned key ([k land 3 = 0]) lives in a dense page of
+   [page_words] cells: a load is a compare against the most recently
+   used page and one array read, with neighbouring addresses in
+   neighbouring cells. Pages are found through a page directory (open
+   addressing by page number) and never freed. Any other key — random
+   fuzz programs use unaligned and negative addresses, and [min_int] —
+   goes to a small open-addressing residue table with key and value
+   interleaved in one array. The map is total over arbitrary ints.
+
+   Presence is tracked per cell (an overlay falls through to its base at
+   exactly the cells it never wrote), and an absent cell holds 0, so a
+   [~default:0] lookup of a page cell is one read. Every new binding is
+   logged: [count] is the log's length, [iter] walks it, and [clear]
+   unbinds exactly the logged keys — O(bindings), with pages, directory
+   and log kept, so a warm map clears and refills without allocating.
+   Lookups never allocate. *)
+
+let page_bits = 10
+let page_words = 1 lsl page_bits
+
+type page = {
+  no : int;          (* page number, [k asr (page_bits + 2)] *)
+  vals : int array;  (* [page_words] cells, 0 when absent *)
+  present : Bytes.t; (* '\001' when the cell is bound *)
+}
+
+(* The empty directory slot. [min_int] is no key's page number: an
+   arithmetic shift by 12 never yields it. *)
+let no_page = { no = min_int; vals = [||]; present = Bytes.empty }
 
 type t = {
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable used : Bytes.t; (* '\001' = slot occupied *)
-  mutable mask : int;     (* capacity - 1; capacity is a power of two *)
+  mutable dir : page array;   (* power-of-two capacity, [no_page] = empty *)
+  mutable npages : int;
+  mutable mru : page;         (* the last page looked up, or [no_page] *)
+  mutable res : int array;
+      (* residue table: key at [2i], value at [2i + 1]; key 0 (aligned,
+         so never a residue key) marks an empty slot *)
+  mutable rcount : int;
+  mutable log : int array;    (* bound keys, in binding order *)
   mutable count : int;
 }
 
-let rec pow2 n c = if c >= n then c else pow2 n (c * 2)
-
 let create n =
-  let cap = pow2 (if n < 16 then 16 else n) 16 in
   {
-    keys = Array.make cap 0;
-    vals = Array.make cap 0;
-    used = Bytes.make cap '\000';
-    mask = cap - 1;
+    dir = Array.make 16 no_page;
+    npages = 0;
+    mru = no_page;
+    res = Array.make 32 0;
+    rcount = 0;
+    log = Array.make (if n < 16 then 16 else n) 0;
     count = 0;
   }
 
-(* Fibonacci hashing; keys are arbitrary ints (addresses may be
-   negative in randomly generated programs). *)
-let slot_of t k = (k * 0x2545F4914F6CDD1D) land t.mask
+let page_no k = k asr (page_bits + 2)
+let cell k = (k lsr 2) land (page_words - 1)
 
-let find t k ~default =
-  let i = ref (slot_of t k) in
-  while
-    Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
-  do
-    i := (!i + 1) land t.mask
-  done;
-  if Bytes.unsafe_get t.used !i = '\001' then Array.unsafe_get t.vals !i
-  else default
+(* Multiplicative hash with the high bits folded down, so that keys
+   differing only above the mask still spread. *)
+let hash k =
+  let h = k * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
 
-let rec replace t k v =
-  let i = ref (slot_of t k) in
+(* --- pages ---------------------------------------------------------------- *)
+
+let dir_index dir p =
+  let mask = Array.length dir - 1 in
+  let i = ref (hash p land mask) in
   while
-    Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
+    let pg = Array.unsafe_get dir !i in
+    pg.no <> p && pg != no_page
   do
-    i := (!i + 1) land t.mask
+    i := (!i + 1) land mask
   done;
-  if Bytes.unsafe_get t.used !i = '\001' then t.vals.(!i) <- v
-  else if 2 * (t.count + 1) > t.mask + 1 then begin
-    (* Keep the load factor under 1/2: rehash into a doubled table. *)
-    let okeys = t.keys and ovals = t.vals and oused = t.used in
-    let cap = 2 * (t.mask + 1) in
-    t.keys <- Array.make cap 0;
-    t.vals <- Array.make cap 0;
-    t.used <- Bytes.make cap '\000';
-    t.mask <- cap - 1;
-    t.count <- 0;
-    for j = 0 to Array.length okeys - 1 do
-      if Bytes.unsafe_get oused j = '\001' then replace t okeys.(j) ovals.(j)
-    done;
-    replace t k v
+  !i
+
+(* The page numbered [p], or [no_page]; a found page becomes the MRU. *)
+let page t p =
+  let pg = t.mru in
+  if pg.no = p then pg
+  else begin
+    let pg = Array.unsafe_get t.dir (dir_index t.dir p) in
+    if pg != no_page then t.mru <- pg;
+    pg
+  end
+
+let rec page_for_write t p =
+  let pg = page t p in
+  if pg != no_page then pg
+  else if 2 * (t.npages + 1) > Array.length t.dir then begin
+    (* Keep the directory under half full: rehash into double. *)
+    let old = t.dir in
+    t.dir <- Array.make (2 * Array.length old) no_page;
+    Array.iter
+      (fun pg -> if pg != no_page then t.dir.(dir_index t.dir pg.no) <- pg)
+      old;
+    page_for_write t p
   end
   else begin
-    t.keys.(!i) <- k;
-    t.vals.(!i) <- v;
-    Bytes.unsafe_set t.used !i '\001';
-    t.count <- t.count + 1
+    let pg =
+      {
+        no = p;
+        vals = Array.make page_words 0;
+        present = Bytes.make page_words '\000';
+      }
+    in
+    t.dir.(dir_index t.dir p) <- pg;
+    t.npages <- t.npages + 1;
+    t.mru <- pg;
+    pg
+  end
+
+(* --- residue table -------------------------------------------------------- *)
+
+(* The slot holding [k], or the empty slot where it would go. *)
+let res_slot res k =
+  let mask = (Array.length res / 2) - 1 in
+  let i = ref (hash k land mask) in
+  while
+    let key = Array.unsafe_get res (2 * !i) in
+    key <> k && key <> 0
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let res_grow t =
+  let old = t.res in
+  t.res <- Array.make (2 * Array.length old) 0;
+  for i = 0 to (Array.length old / 2) - 1 do
+    let k = old.(2 * i) in
+    if k <> 0 then begin
+      let j = res_slot t.res k in
+      t.res.(2 * j) <- k;
+      t.res.((2 * j) + 1) <- old.((2 * i) + 1)
+    end
+  done
+
+(* --- the map -------------------------------------------------------------- *)
+
+let log_key t k =
+  if t.count = Array.length t.log then begin
+    let log = Array.make (2 * t.count) 0 in
+    Array.blit t.log 0 log 0 t.count;
+    t.log <- log
+  end;
+  Array.unsafe_set t.log t.count k;
+  t.count <- t.count + 1
+
+let find t k ~default =
+  if k land 3 = 0 then begin
+    let pg = page t (page_no k) in
+    if pg == no_page then default
+    else
+      let o = cell k in
+      let v = Array.unsafe_get pg.vals o in
+      if v <> 0 || Bytes.unsafe_get pg.present o <> '\000' then v else default
+  end
+  else
+    let i = res_slot t.res k in
+    if Array.unsafe_get t.res (2 * i) = k then
+      Array.unsafe_get t.res ((2 * i) + 1)
+    else default
+
+let rec replace t k v =
+  if k land 3 = 0 then begin
+    let pg = page_for_write t (page_no k) in
+    let o = cell k in
+    if Bytes.unsafe_get pg.present o = '\000' then begin
+      Bytes.unsafe_set pg.present o '\001';
+      log_key t k
+    end;
+    Array.unsafe_set pg.vals o v
+  end
+  else begin
+    let i = res_slot t.res k in
+    if t.res.(2 * i) = k then t.res.((2 * i) + 1) <- v
+    else if 2 * (t.rcount + 1) > Array.length t.res / 2 then begin
+      res_grow t;
+      replace t k v
+    end
+    else begin
+      t.res.(2 * i) <- k;
+      t.res.((2 * i) + 1) <- v;
+      t.rcount <- t.rcount + 1;
+      log_key t k
+    end
   end
 
 let mem t k =
-  let i = ref (slot_of t k) in
-  while
-    Bytes.unsafe_get t.used !i = '\001' && Array.unsafe_get t.keys !i <> k
-  do
-    i := (!i + 1) land t.mask
-  done;
-  Bytes.unsafe_get t.used !i = '\001'
+  if k land 3 = 0 then begin
+    let pg = page t (page_no k) in
+    pg != no_page && Bytes.unsafe_get pg.present (cell k) <> '\000'
+  end
+  else t.res.(2 * res_slot t.res k) = k
 
 let clear t =
-  Bytes.fill t.used 0 (Bytes.length t.used) '\000';
-  t.count <- 0
+  for j = 0 to t.count - 1 do
+    let k = t.log.(j) in
+    if k land 3 = 0 then begin
+      let pg = page t (page_no k) in
+      let o = cell k in
+      pg.vals.(o) <- 0;
+      Bytes.set pg.present o '\000'
+    end
+    else begin
+      (* Empty the cluster from [k]'s home slot on. Every key in it is
+         being unbound, and no key still bound probes through it: a
+         chain starting inside the run ends inside it. *)
+      let mask = (Array.length t.res / 2) - 1 in
+      let i = ref (hash k land mask) in
+      while t.res.(2 * !i) <> 0 do
+        t.res.(2 * !i) <- 0;
+        t.res.((2 * !i) + 1) <- 0;
+        i := (!i + 1) land mask
+      done
+    end
+  done;
+  t.count <- 0;
+  t.rcount <- 0
 
 let count t = t.count
 
 let iter f t =
-  for i = 0 to t.mask do
-    if Bytes.unsafe_get t.used i = '\001' then f t.keys.(i) t.vals.(i)
+  for j = 0 to t.count - 1 do
+    let k = t.log.(j) in
+    f k (find t k ~default:0)
   done

@@ -28,5 +28,6 @@ let () =
       ("telemetry", Suite_telemetry.suite);
       ("tighten", Suite_tighten.suite);
       ("certificate", Suite_certificate.suite);
+      ("fastpath", Suite_fastpath.suite);
       ("golden", Suite_golden.suite);
     ]
