@@ -147,15 +147,17 @@ check-campaign:
 	@echo "check-campaign: all pairs audited cycle-by-cycle"
 
 # Full-scale digest smoke of the repository benchmark: exactly one round
-# (--seconds 0) of the sampled workload at seed 0 and of the detailed
-# workload at seed 1, each pair checked against its reference digest in
-# perfbench/expected.txt. perfbench/main.exe reports a mismatch or a
-# failed pair in its JSON result line ("correct", "failed") rather than
-# its exit code, so the line is checked here. The tier-1 tests run the
-# benchmark only at tiny scale.
+# (--seconds 0) of the sampled workload at seed 0, of the detailed
+# workload at seed 1 and of the observed workload at seed 1, each pair
+# checked against its reference digest in perfbench/expected.txt (an
+# observed pair also fails when the region profiler's totals differ
+# from the pipeline's statistics). perfbench/main.exe reports a
+# mismatch or a failed pair in its JSON result line ("correct",
+# "failed") rather than its exit code, so the line is checked here.
+# The tier-1 tests run the benchmark only at tiny scale.
 bench-smoke:
 	@mkdir -p _build
-	@for run in "sampled --seed 0" "detailed --seed 1"; do \
+	@for run in "sampled --seed 0" "detailed --seed 1" "observed --seed 1"; do \
 	  python3 perfbench/run.py --workload $$run --seconds 0 --trace 0 \
 	    > _build/bench-smoke.out || exit 1; \
 	  tail -1 _build/bench-smoke.out | python3 -c \

@@ -151,6 +151,42 @@ let ff_primitives () =
   in
   (advance, ff)
 
+(* The observed path's two sinks on their own, apart from the pipeline
+   that feeds them: a stream recorded once from 20k instructions of
+   gzip/noop is replayed into a fresh sink on every run ([profiler-sink]
+   is the region profiler, [counts-sink] the per-kind counter), and each
+   is reported per event. *)
+let sink_stream =
+  lazy
+    (let bench = Sdiq_workloads.W_gzip.build ~outer:2_000 () in
+     let map =
+       Sdiq_obs.Region.build
+         (H.Technique.delivery H.Technique.Noop)
+         bench.Sdiq_workloads.Bench.prog
+     in
+     let p =
+       Sdiq_cpu.Pipeline.create
+         ~policy:(H.Technique.policy H.Technique.Noop)
+         (Sdiq_obs.Region.running_prog map)
+     in
+     let evs = ref [] in
+     Sdiq_cpu.Pipeline.subscribe ~name:"recorder" p (fun e -> evs := e :: !evs);
+     bench.Sdiq_workloads.Bench.init p.Sdiq_cpu.Pipeline.exec;
+     ignore (Sdiq_cpu.Pipeline.run ~max_insns:20_000 p : Sdiq_cpu.Stats.t);
+     (map, Array.of_list (List.rev !evs)))
+
+let sink_replays () =
+  let map, evs = Lazy.force sink_stream in
+  let profiler () =
+    let prof = Sdiq_obs.Profiler.create map in
+    Array.iter (Sdiq_obs.Profiler.sink prof) evs
+  in
+  let counts () =
+    let c = Sdiq_events.Counts.create () in
+    Array.iter (Sdiq_events.Counts.sink c) evs
+  in
+  (profiler, counts)
+
 let bench_experiment name f =
   Test.make ~name (Staged.stage (fun () -> Sys.opaque_identity (f ())))
 
@@ -191,6 +227,7 @@ let micro_tests () =
   in
   let counter = ref 0 in
   let advance, ff = ff_primitives () in
+  let profiler_sink, counts_sink = sink_replays () in
   [
     Test.make ~name:"iq-wakeup-select"
       (Staged.stage (fun () -> Sys.opaque_identity (wakeup_select ())));
@@ -223,6 +260,8 @@ let micro_tests () =
     bench_experiment "simulate-fast" (fun () -> bench_simulation_fast ());
     Test.make ~name:"oracle-advance" (Staged.stage advance);
     Test.make ~name:"fast-forward" (Staged.stage ff);
+    Test.make ~name:"profiler-sink" (Staged.stage profiler_sink);
+    Test.make ~name:"counts-sink" (Staged.stage counts_sink);
     (* scheduler-policy axis: the same nosink run under a bounded select
        scan and under load-delay wakeup suppression — against
        simulate-nosink these price the policy's host-side overhead *)
@@ -253,12 +292,21 @@ let run_micro () =
   let tests = Test.make_grouped ~name:"sdiq" ~fmt:"%s %s" (micro_tests ()) in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let per_insn = [ "sdiq oracle-advance"; "sdiq fast-forward" ] in
+  let events = float_of_int (Array.length (snd (Lazy.force sink_stream))) in
+  let per_unit =
+    [
+      ("sdiq oracle-advance", (float_of_int ff_batch, "insn"));
+      ("sdiq fast-forward", (float_of_int ff_batch, "insn"));
+      ("sdiq profiler-sink", (events, "event"));
+      ("sdiq counts-sink", (events, "event"));
+    ]
+  in
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with
-      | Some [ t ] when List.mem name per_insn ->
-        Fmt.pr "  %-28s %12.1f ns/insn@." name (t /. float_of_int ff_batch)
+      | Some [ t ] when List.mem_assoc name per_unit ->
+        let n, unit_ = List.assoc name per_unit in
+        Fmt.pr "  %-28s %12.1f ns/%s@." name (t /. n) unit_
       | Some [ t ] -> Fmt.pr "  %-28s %12.1f ns/run@." name t
       | Some _ | None -> Fmt.pr "  %-28s (no estimate)@." name)
     results

@@ -25,14 +25,14 @@
    instructions dispatch only after [decode_depth] cycles.
 
    Telemetry: the stages mutate no consumer directly. Each stage emits
-   typed events ([Sdiq_events.Event]); the pipeline's own statistics are
-   a fold of that stream ([Stats.absorb]), and external observers —
+   typed events ([Sdiq_events.Event]); the pipeline's own statistics
+   equal a fold of that stream ([Stats.absorb]), and external observers —
    invariant checkers, commit capture, power meters, timelines, JSONL
-   traces — subscribe to the same bus. With no sink registered the hot
-   loop does not even construct the events: each emission site goes
-   through a per-kind emitter that applies the matching [Stats.absorb]
-   clause inline (DESIGN.md §13), so a bare simulation allocates nothing
-   on the event path. [Cycle_end] is always the last event of its cycle,
+   traces — subscribe to the same bus. Each emission site goes through a
+   per-kind emitter that applies the matching [Stats.absorb] clause
+   inline and constructs the event only when a sink is subscribed
+   (DESIGN.md §11.3, §13), so a bare simulation allocates nothing on the
+   event path. [Cycle_end] is always the last event of its cycle,
    emitted after the policy's end-of-cycle action, so a sink observing it
    sees exactly the machine state a per-cycle checker needs (DESIGN.md
    §11 specifies the ordering contract).
@@ -160,104 +160,88 @@ type t = {
 
 exception Simulation_limit of string
 
-(* Deliver one event: fold it into the pipeline's own statistics, then
-   to external sinks (if any). The absorb-first order is part of the
-   sink contract — a [Cycle_end] sink reads fully-updated stats. *)
-let emit t ev =
-  Stats.absorb t.stats ev;
-  if t.bus_on then Bus.emit t.bus ev
-
 (* --- per-kind emitters -------------------------------------------------- *)
 
-(* With no sink subscribed, each emitter applies the matching
-   [Stats.absorb] clause directly and never constructs the event, so the
-   no-sink path is allocation-free; with sinks it builds the event once
-   and takes the generic [emit] path. The inline updates must mirror
-   [Stats.absorb] clause for clause — the no-sink/sink stats-equality
-   test in the exactness battery pins this. *)
+(* Each emitter folds its event into the pipeline's own statistics
+   inline — the matching [Stats.absorb] clause, written out — and only
+   then, if a sink is subscribed, builds the event and delivers it.
+   With no sink the event is never constructed, so the no-sink path is
+   allocation-free; with sinks the fold is the same code, not a second
+   pass through [Stats.absorb]. Folding first is part of the sink
+   contract: a sink reads fully-updated stats. The inline updates must
+   mirror [Stats.absorb] clause for clause — the stats-equality tests in
+   the exactness battery pin this, including a sink that folds every
+   event through [Stats.absorb]. *)
 
 let emit_commit t dyn =
-  if t.bus_on then emit t (Ev.Commit { dyn })
-  else t.stats.Stats.committed <- t.stats.Stats.committed + 1
+  t.stats.Stats.committed <- t.stats.Stats.committed + 1;
+  if t.bus_on then Bus.emit t.bus (Ev.Commit { dyn })
 
 let emit_cache_miss t level addr =
-  if t.bus_on then emit t (Ev.Cache_miss { level; addr })
-  else begin
-    let st = t.stats in
-    match level with
-    | Ev.Il1 -> st.Stats.il1_misses <- st.Stats.il1_misses + 1
-    | Ev.Dl1 -> st.Stats.dl1_misses <- st.Stats.dl1_misses + 1
-    | Ev.L2 -> st.Stats.l2_misses <- st.Stats.l2_misses + 1
-  end
+  let st = t.stats in
+  (match level with
+  | Ev.Il1 -> st.Stats.il1_misses <- st.Stats.il1_misses + 1
+  | Ev.Dl1 -> st.Stats.dl1_misses <- st.Stats.dl1_misses + 1
+  | Ev.L2 -> st.Stats.l2_misses <- st.Stats.l2_misses + 1);
+  if t.bus_on then Bus.emit t.bus (Ev.Cache_miss { level; addr })
 
 (* [Writeback] absorbs to nothing; it exists only for sinks. *)
 let emit_writeback t idx =
   if t.bus_on then
-    emit t (Ev.Writeback { dyn = Rob.dyn t.rob idx; rob_idx = idx })
+    Bus.emit t.bus (Ev.Writeback { dyn = Rob.dyn t.rob idx; rob_idx = idx })
 
 let emit_rf_write t file phys =
-  if t.bus_on then emit t (Ev.Rf_write { file; phys })
-  else begin
-    let st = t.stats in
-    match file with
-    | Ev.Int_rf -> st.Stats.int_rf_writes <- st.Stats.int_rf_writes + 1
-    | Ev.Fp_rf -> st.Stats.fp_rf_writes <- st.Stats.fp_rf_writes + 1
-  end
+  let st = t.stats in
+  (match file with
+  | Ev.Int_rf -> st.Stats.int_rf_writes <- st.Stats.int_rf_writes + 1
+  | Ev.Fp_rf -> st.Stats.fp_rf_writes <- st.Stats.fp_rf_writes + 1);
+  if t.bus_on then Bus.emit t.bus (Ev.Rf_write { file; phys })
 
 let emit_wakeup t ~tags ~woken ~naive ~nonempty ~gated ~suppressed =
+  let st = t.stats in
+  st.Stats.iq_broadcasts <- st.Stats.iq_broadcasts + tags;
+  st.Stats.iq_wakeups_naive <- st.Stats.iq_wakeups_naive + naive;
+  st.Stats.iq_wakeups_nonempty <- st.Stats.iq_wakeups_nonempty + nonempty;
+  st.Stats.iq_wakeups_gated <- st.Stats.iq_wakeups_gated + gated;
+  st.Stats.iq_wakeups_suppressed <- st.Stats.iq_wakeups_suppressed + suppressed;
   if t.bus_on then
-    emit t (Ev.Wakeup { tags; woken; naive; nonempty; gated; suppressed })
-  else begin
-    let st = t.stats in
-    st.Stats.iq_broadcasts <- st.Stats.iq_broadcasts + tags;
-    st.Stats.iq_wakeups_naive <- st.Stats.iq_wakeups_naive + naive;
-    st.Stats.iq_wakeups_nonempty <- st.Stats.iq_wakeups_nonempty + nonempty;
-    st.Stats.iq_wakeups_gated <- st.Stats.iq_wakeups_gated + gated;
-    st.Stats.iq_wakeups_suppressed <-
-      st.Stats.iq_wakeups_suppressed + suppressed
-  end
+    Bus.emit t.bus
+      (Ev.Wakeup { tags; woken; naive; nonempty; gated; suppressed })
 
 let emit_select t ~rob_idx ~iq_slot =
-  if t.bus_on then emit t (Ev.Select { rob_idx; iq_slot })
-  else t.stats.Stats.iq_selects <- t.stats.Stats.iq_selects + 1
+  t.stats.Stats.iq_selects <- t.stats.Stats.iq_selects + 1;
+  if t.bus_on then Bus.emit t.bus (Ev.Select { rob_idx; iq_slot })
 
 let emit_select_scan t ~entries =
-  if t.bus_on then emit t (Ev.Select_scan { entries })
-  else t.stats.Stats.iq_scan_entries <- t.stats.Stats.iq_scan_entries + entries
+  t.stats.Stats.iq_scan_entries <- t.stats.Stats.iq_scan_entries + entries;
+  if t.bus_on then Bus.emit t.bus (Ev.Select_scan { entries })
 
 let emit_issue t dyn ~latency ~store_forward ~wp =
-  if t.bus_on then emit t (Ev.Issue { dyn; latency; store_forward; wp })
-  else begin
-    let st = t.stats in
-    st.Stats.iq_issue_reads <- st.Stats.iq_issue_reads + 1;
-    if store_forward then
-      st.Stats.store_forwards <- st.Stats.store_forwards + 1;
-    if wp then st.Stats.wp_issued <- st.Stats.wp_issued + 1
-  end
+  let st = t.stats in
+  st.Stats.iq_issue_reads <- st.Stats.iq_issue_reads + 1;
+  if store_forward then st.Stats.store_forwards <- st.Stats.store_forwards + 1;
+  if wp then st.Stats.wp_issued <- st.Stats.wp_issued + 1;
+  if t.bus_on then Bus.emit t.bus (Ev.Issue { dyn; latency; store_forward; wp })
 
 let emit_rf_read t ~ints ~fps =
-  if t.bus_on then emit t (Ev.Rf_read { ints; fps })
-  else begin
-    let st = t.stats in
-    st.Stats.int_rf_reads <- st.Stats.int_rf_reads + ints;
-    st.Stats.fp_rf_reads <- st.Stats.fp_rf_reads + fps
-  end
+  let st = t.stats in
+  st.Stats.int_rf_reads <- st.Stats.int_rf_reads + ints;
+  st.Stats.fp_rf_reads <- st.Stats.fp_rf_reads + fps;
+  if t.bus_on then Bus.emit t.bus (Ev.Rf_read { ints; fps })
 
 let emit_dispatch t dyn ~kind ~iq_slot ~rob_idx ~cam_writes ~wp =
+  let st = t.stats in
+  st.Stats.dispatched <- st.Stats.dispatched + 1;
+  st.Stats.iq_dispatch_ram_writes <- st.Stats.iq_dispatch_ram_writes + 1;
+  st.Stats.iq_dispatch_cam_writes <-
+    st.Stats.iq_dispatch_cam_writes + cam_writes;
+  if wp then st.Stats.wp_dispatched <- st.Stats.wp_dispatched + 1;
+  (match kind with
+  | Ev.Plain -> ()
+  | Ev.Load -> st.Stats.loads <- st.Stats.loads + 1
+  | Ev.Store -> st.Stats.stores <- st.Stats.stores + 1);
   if t.bus_on then
-    emit t (Ev.Dispatch { dyn; kind; iq_slot; rob_idx; cam_writes; wp })
-  else begin
-    let st = t.stats in
-    st.Stats.dispatched <- st.Stats.dispatched + 1;
-    st.Stats.iq_dispatch_ram_writes <- st.Stats.iq_dispatch_ram_writes + 1;
-    st.Stats.iq_dispatch_cam_writes <-
-      st.Stats.iq_dispatch_cam_writes + cam_writes;
-    if wp then st.Stats.wp_dispatched <- st.Stats.wp_dispatched + 1;
-    match kind with
-    | Ev.Plain -> ()
-    | Ev.Load -> st.Stats.loads <- st.Stats.loads + 1
-    | Ev.Store -> st.Stats.stores <- st.Stats.stores + 1
-  end
+    Bus.emit t.bus (Ev.Dispatch { dyn; kind; iq_slot; rob_idx; cam_writes; wp })
 
 (* [n] [Dispatch_stall reason] events' worth of statistics: one per
    stalled cycle, or a whole run of skipped quiet cycles. *)
@@ -275,94 +259,80 @@ let add_dispatch_stalls (st : Stats.t) reason n =
     st.Stats.dispatch_stall_lsq_full <- st.Stats.dispatch_stall_lsq_full + n
 
 let emit_dispatch_stall t reason =
-  if t.bus_on then emit t (Ev.Dispatch_stall reason)
-  else add_dispatch_stalls t.stats reason 1
+  add_dispatch_stalls t.stats reason 1;
+  if t.bus_on then Bus.emit t.bus (Ev.Dispatch_stall reason)
 
 let emit_squash t dyn ~squashed =
-  if t.bus_on then emit t (Ev.Squash { dyn; squashed })
-  else begin
-    let st = t.stats in
-    st.Stats.squashes <- st.Stats.squashes + 1;
-    st.Stats.squashed <- st.Stats.squashed + squashed
-  end
+  let st = t.stats in
+  st.Stats.squashes <- st.Stats.squashes + 1;
+  st.Stats.squashed <- st.Stats.squashed + squashed;
+  if t.bus_on then Bus.emit t.bus (Ev.Squash { dyn; squashed })
 
 let emit_tlb_miss t tlb addr =
-  if t.bus_on then emit t (Ev.Tlb_miss { tlb; addr })
-  else begin
-    let st = t.stats in
-    match tlb with
-    | Ev.Itlb -> st.Stats.itlb_misses <- st.Stats.itlb_misses + 1
-    | Ev.Dtlb -> st.Stats.dtlb_misses <- st.Stats.dtlb_misses + 1
-  end
+  let st = t.stats in
+  (match tlb with
+  | Ev.Itlb -> st.Stats.itlb_misses <- st.Stats.itlb_misses + 1
+  | Ev.Dtlb -> st.Stats.dtlb_misses <- st.Stats.dtlb_misses + 1);
+  if t.bus_on then Bus.emit t.bus (Ev.Tlb_miss { tlb; addr })
 
 let emit_annotation_noop t ~pc ~value =
+  t.stats.Stats.iqset_dispatch_slots <- t.stats.Stats.iqset_dispatch_slots + 1;
   if t.bus_on then
-    emit t (Ev.Annotation { pc; value; delivery = Ev.Noop_slot })
-  else
-    t.stats.Stats.iqset_dispatch_slots <-
-      t.stats.Stats.iqset_dispatch_slots + 1
+    Bus.emit t.bus (Ev.Annotation { pc; value; delivery = Ev.Noop_slot })
 
 let emit_fetch_seq t dyn =
+  t.stats.Stats.fetched <- t.stats.Stats.fetched + 1;
   if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Sequential; wp = false })
-  else t.stats.Stats.fetched <- t.stats.Stats.fetched + 1
+    Bus.emit t.bus (Ev.Fetch { dyn; outcome = Ev.Sequential; wp = false })
 
 (* A wrong-path fetch counts as fetch activity but never as a branch,
    mispredict or BTB bubble — the predictor is consulted, not trained,
    off the correct path, so those rates stay correct-path-only. *)
 let emit_fetch_wp t dyn ~outcome =
-  if t.bus_on then emit t (Ev.Fetch { dyn; outcome; wp = true })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.wp_fetched <- st.Stats.wp_fetched + 1
-  end
+  let st = t.stats in
+  st.Stats.fetched <- st.Stats.fetched + 1;
+  st.Stats.wp_fetched <- st.Stats.wp_fetched + 1;
+  if t.bus_on then Bus.emit t.bus (Ev.Fetch { dyn; outcome; wp = true })
 
 let emit_fetch_cond t dyn ~taken ~mispredicted ~btb_bubble =
+  let st = t.stats in
+  st.Stats.fetched <- st.Stats.fetched + 1;
+  st.Stats.branches <- st.Stats.branches + 1;
+  if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1;
+  if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1;
   if t.bus_on then
-    emit t
+    Bus.emit t.bus
       (Ev.Fetch
          {
            dyn;
            outcome = Ev.Cond_branch { taken; mispredicted; btb_bubble };
            wp = false;
          })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.branches <- st.Stats.branches + 1;
-    if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
 
 let emit_fetch_jump t dyn ~btb_bubble =
+  let st = t.stats in
+  st.Stats.fetched <- st.Stats.fetched + 1;
+  if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1;
   if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Jump { btb_bubble }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
+    Bus.emit t.bus
+      (Ev.Fetch { dyn; outcome = Ev.Jump { btb_bubble }; wp = false })
 
 let emit_fetch_call t dyn ~btb_bubble =
+  let st = t.stats in
+  st.Stats.fetched <- st.Stats.fetched + 1;
+  if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1;
   if t.bus_on then
-    emit t (Ev.Fetch { dyn; outcome = Ev.Call { btb_bubble }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    if btb_bubble then st.Stats.btb_bubbles <- st.Stats.btb_bubbles + 1
-  end
+    Bus.emit t.bus
+      (Ev.Fetch { dyn; outcome = Ev.Call { btb_bubble }; wp = false })
 
 let emit_fetch_ret t dyn ~mispredicted =
+  let st = t.stats in
+  st.Stats.fetched <- st.Stats.fetched + 1;
+  st.Stats.branches <- st.Stats.branches + 1;
+  if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1;
   if t.bus_on then
-    emit t
+    Bus.emit t.bus
       (Ev.Fetch { dyn; outcome = Ev.Return { mispredicted }; wp = false })
-  else begin
-    let st = t.stats in
-    st.Stats.fetched <- st.Stats.fetched + 1;
-    st.Stats.branches <- st.Stats.branches + 1;
-    if mispredicted then st.Stats.mispredicts <- st.Stats.mispredicts + 1
-  end
 
 (* --- sink registration --------------------------------------------------- *)
 
@@ -1562,8 +1532,8 @@ let cycle_end_stage t ~throttled =
       Bus.emit t.bus (Ev.Resize { before = size_before; after = size_after });
     (* Last event of the cycle, always: per-cycle observers (the
        invariant checker) run here with the post-increment cycle count
-       and every counter for the cycle already folded in. The stats were
-       updated inline above, so the event bypasses [Stats.absorb]. *)
+       and every counter for the cycle already folded in (inline above,
+       like every emitter's). *)
     Bus.emit t.bus
       (Ev.Cycle_end
          {

@@ -27,8 +27,9 @@
     same cycle.
 
     Telemetry: stages emit typed events ({!Sdiq_events.Event}) instead of
-    mutating consumers. The pipeline's statistics are a fold of its own
-    event stream ({!Stats.absorb}); every external observer is a sink
+    mutating consumers. The pipeline's statistics equal the fold of its
+    own event stream ({!Stats.absorb}), applied inline as each event is
+    emitted; every external observer is a sink
     registered with {!subscribe} / {!on_cycle_end} / {!on_commit_sink}.
     [Cycle_end] is always the last event of its cycle; DESIGN.md §11
     specifies the full ordering contract. *)

@@ -105,10 +105,11 @@ let create () =
     dispatch_stall_lsq_full = 0;
   }
 
-(* The fold: how one pipeline event updates the counters. This is the
-   *only* place stats are accumulated — the pipeline emits events and
-   absorbs them here (and so can any external sink, e.g. the power
-   meter, to reconstruct identical statistics from the stream alone).
+(* The fold: how one pipeline event updates the counters — the
+   external sinks' fold (the power meter, the region profiler), which
+   reconstructs the pipeline's statistics from the stream alone. The
+   pipeline's per-kind emitters apply the same clauses inline, and the
+   exactness tests pin the two equal.
 
    Counter-bearing events carry deltas, so absorbing a stream prefix
    yields correct partial sums; [Cycle_end] carries the per-cycle

@@ -51,10 +51,12 @@ type t = {
 
 val create : unit -> t
 
-(** The fold: apply one pipeline event's counter deltas. The pipeline
-    accumulates its own statistics exclusively through this function, and
-    any sink can reconstruct identical statistics from the event stream
-    alone (see DESIGN.md §11). *)
+(** The fold: apply one pipeline event's counter deltas. Any sink can
+    reconstruct the pipeline's statistics from the event stream alone
+    with it (the power meter and the region profiler do). The pipeline
+    itself applies the same deltas inline in its per-kind emitters
+    rather than calling this; the exactness tests pin the two equal
+    (see DESIGN.md §11.3). *)
 val absorb : t -> Sdiq_events.Event.t -> unit
 
 (** [add a b] accumulates [b] into [a], field by field. Every field —

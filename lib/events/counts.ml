@@ -5,7 +5,11 @@
 type t = int array (* one cell per Event kind, indexed by Event.index *)
 
 let create () = Array.make Event.num_kinds 0
-let sink (c : t) ev = c.(Event.index ev) <- c.(Event.index ev) + 1
+
+let sink (c : t) ev =
+  let i = Event.index ev in
+  c.(i) <- c.(i) + 1
+
 let get (c : t) i = c.(i)
 let total (c : t) = Array.fold_left ( + ) 0 c
 let equal (a : t) (b : t) = a = b

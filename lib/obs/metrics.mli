@@ -17,6 +17,17 @@ val create : unit -> t
 (** Add [by] (default 1) to counter [name], creating it at 0. *)
 val incr : ?by:int -> t -> string -> unit
 
+(** [cell t name] finds or creates counter [name] and returns its cell:
+    adding to the cell adds to the counter, so a sink that bumps the
+    same counter on every event pays one name lookup in all, not one
+    per event. Taking the cell {e creates} the counter, at 0 when it
+    was absent, and from then on it is listed and rendered like any
+    other; a sink that must leave a never-occurring counter absent
+    takes the cell on the counter's first occurrence. The cell stays
+    the counter's for the registry's lifetime ({!merge} builds a new
+    registry and copies values, never cells). *)
+val cell : t -> string -> int ref
+
 (** Current value; 0 when absent. *)
 val counter : t -> string -> int
 

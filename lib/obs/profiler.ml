@@ -4,10 +4,10 @@ module Exec = Sdiq_isa.Exec
 module Params = Sdiq_power.Params
 module Iq_power = Sdiq_power.Iq_power
 module Rf_power = Sdiq_power.Rf_power
+module Json = Sdiq_util.Json
 
 type per = {
   stats : Stats.t;
-  occ : Hist.t; (* cycle-end IQ occupancy while this region was current *)
   mutable peak : int;
 }
 
@@ -16,6 +16,9 @@ type t = {
   params : Params.t;
   regions : per array;
   metrics : Metrics.t;
+  cells : int ref array;
+      (* the sink's counters, by slot below: [unresolved] until the
+         counter first occurs, then its [Metrics.cell] *)
   commits_series : Series.t;
   wakeups_series : Series.t;
   occ_hist : Hist.t;
@@ -23,6 +26,18 @@ type t = {
   mutable cur : int;
   mutable cycle : int; (* cycle currently in flight, Trace-sink style *)
 }
+
+let c_events = 0
+let c_commits = 1
+let c_cycles = 2
+let c_wakeups_gated = 3
+let c_region_switches = 4
+
+let counter_names =
+  [| "events"; "commits"; "cycles"; "wakeups_gated"; "region_switches" |]
+
+(* Compared by address only, never written. *)
+let unresolved = ref 0
 
 let create ?(params = Params.default) ?(cfg = Config.default) ?(window = 1000)
     map =
@@ -35,8 +50,9 @@ let create ?(params = Params.default) ?(cfg = Config.default) ?(window = 1000)
     params;
     regions =
       Array.init (Region.count map) (fun _ ->
-          { stats = Stats.create (); occ = Hist.create occ_kind; peak = 0 });
+          { stats = Stats.create (); peak = 0 });
     metrics;
+    cells = Array.make (Array.length counter_names) unresolved;
     commits_series = Metrics.series metrics "commits_per_window" ~window;
     wakeups_series = Metrics.series metrics "wakeups_gated_per_window" ~window;
     occ_hist = Metrics.hist metrics "iq_occupancy" occ_kind;
@@ -45,43 +61,50 @@ let create ?(params = Params.default) ?(cfg = Config.default) ?(window = 1000)
     cycle = 0;
   }
 
+(* Add [by] to the counter in [slot]. Its cell is looked up by name on
+   the counter's first occurrence, so a counter that never occurs stays
+   absent from the registry, and after that the bump is one add. *)
+let count t slot by =
+  let c = t.cells.(slot) in
+  if c != unresolved then c := !c + by
+  else begin
+    let c = Metrics.cell t.metrics counter_names.(slot) in
+    t.cells.(slot) <- c;
+    c := !c + by
+  end
+
 let sink t ev =
-  (* A commit moves the machine into the committed pc's region; the
-     commit itself is charged to the region being entered. *)
-  (match ev with
+  count t c_events 1;
+  match ev with
   | Event.Commit { dyn } ->
+    (* A commit moves the machine into the committed pc's region; the
+       commit itself is charged to the region being entered. *)
     let r = Region.of_addr t.map dyn.Exec.pc in
     if r <> t.cur then begin
       t.cur <- r;
-      Metrics.incr t.metrics "region_switches"
-    end
-  | _ -> ());
-  let per = t.regions.(t.cur) in
-  (match ev with
-  | Event.Cycle_end { iq_occupancy; _ } ->
+      count t c_region_switches 1
+    end;
+    Stats.absorb t.regions.(r).stats ev;
+    count t c_commits 1;
+    Series.observe t.commits_series ~cycle:t.cycle 1
+  | Event.Wakeup { gated; _ } ->
+    Stats.absorb t.regions.(t.cur).stats ev;
+    count t c_wakeups_gated gated;
+    Hist.observe t.wakeup_hist gated;
+    Series.observe t.wakeups_series ~cycle:t.cycle gated
+  | Event.Cycle_end { cycle; iq_occupancy; _ } ->
+    let per = t.regions.(t.cur) in
     (* absorb would overwrite the bucket's [cycles] with the global
        running total; per-region cycles must be cycles-spent-here so
        the buckets sum to the global count. *)
     let spent = per.stats.Stats.cycles in
     Stats.absorb per.stats ev;
     per.stats.Stats.cycles <- spent + 1;
-    Hist.observe per.occ iq_occupancy;
-    if iq_occupancy > per.peak then per.peak <- iq_occupancy
-  | _ -> Stats.absorb per.stats ev);
-  Metrics.incr t.metrics "events";
-  match ev with
-  | Event.Commit _ ->
-    Metrics.incr t.metrics "commits";
-    Series.observe t.commits_series ~cycle:t.cycle 1
-  | Event.Wakeup { gated; _ } ->
-    Metrics.incr ~by:gated t.metrics "wakeups_gated";
-    Hist.observe t.wakeup_hist gated;
-    Series.observe t.wakeups_series ~cycle:t.cycle gated
-  | Event.Cycle_end { cycle; iq_occupancy; _ } ->
-    Metrics.incr t.metrics "cycles";
+    if iq_occupancy > per.peak then per.peak <- iq_occupancy;
+    count t c_cycles 1;
     Hist.observe t.occ_hist iq_occupancy;
     t.cycle <- cycle + 1
-  | _ -> ()
+  | _ -> Stats.absorb t.regions.(t.cur).stats ev
 
 let attach ?params ?window map p =
   let cfg = Pipeline.Debug.cfg p in
@@ -173,19 +196,6 @@ let slack t =
       else compare a.entry_info.Region.id b.entry_info.Region.id)
     entries
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let obj fields = "{" ^ String.concat "," fields ^ "}"
 let arr items = "[" ^ String.concat "," items ^ "]"
 let fnum v = Printf.sprintf "%.17g" v
@@ -194,7 +204,7 @@ let json_of_row r =
   obj
     [
       Printf.sprintf {|"id":%d|} r.info.Region.id;
-      Printf.sprintf {|"proc":"%s"|} (json_escape r.info.Region.proc);
+      Printf.sprintf {|"proc":"%s"|} (Json.escape r.info.Region.proc);
       Printf.sprintf {|"kind":"%s"|} (Region.kind_name r.info.Region.kind);
       Printf.sprintf {|"start":%d|} r.info.Region.start;
       Printf.sprintf {|"orig_start":%d|} r.info.Region.orig_start;
@@ -229,7 +239,7 @@ let to_json t =
       Printf.sprintf {|"totals":%s|}
         (obj
            (List.map
-              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
+              (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Json.escape k) v)
               (Stats.to_fields total)
            @ [
                Printf.sprintf {|"iq_energy":%s|} (fnum tot_iq);
@@ -243,7 +253,7 @@ let to_json t =
                   [
                     Printf.sprintf {|"id":%d|} e.entry_info.Region.id;
                     Printf.sprintf {|"proc":"%s"|}
-                      (json_escape e.entry_info.Region.proc);
+                      (Json.escape e.entry_info.Region.proc);
                     Printf.sprintf {|"granted":%s|}
                       (match e.entry_info.Region.granted with
                       | Some g -> string_of_int g

@@ -18,7 +18,10 @@
     Alongside the buckets it keeps a {!Metrics} registry (event/commit
     /cycle counters, occupancy and gated-wakeup histograms, per-window
     commit and wakeup series) whose canonical rendering is
-    byte-comparable across shard counts. *)
+    byte-comparable across shard counts. Each counter's {!Metrics.cell}
+    is taken on the counter's first occurrence, so a counter that never
+    occurs is absent from the registry and the sink does no name lookup
+    per event. *)
 
 type t
 

@@ -105,15 +105,17 @@ let test_sink_fold_matches_stats_all_techniques () =
         Technique.all)
     [ gzip (); mcf () ]
 
-(* The dual-path pin: with no sink the pipeline's per-kind emitters
-   update statistics directly and quiet cycles are skipped in one jump
-   (the fast path); with any sink attached every event goes through the
-   bus and [Stats.absorb], and every cycle is stepped. The two paths
-   must produce identical statistics — integer for integer — on every
-   technique and scheduler, or the fast path has drifted from the event
-   vocabulary or a skip was visible. vpr and twolf are the
-   wrong-path-heavy kernels; mcf the memory-bound one, whose long
-   quiet stretches are the skipped ones. *)
+(* The dual-path pin: with no sink quiet cycles are skipped in one jump
+   (the fast path); with any sink attached every event is built and
+   delivered, and every cycle is stepped. The two paths must produce
+   identical statistics — integer for integer — on every technique and
+   scheduler, or a skip was visible. Both paths fold statistics inline
+   in the per-kind emitters, never through [Stats.absorb]; so a third
+   leg folds the sink-attached run's stream with [Stats.absorb] — the
+   external sinks' fold — and must reproduce the pipeline's statistics,
+   or the inline updates have drifted from the event vocabulary. vpr
+   and twolf are the wrong-path-heavy kernels; mcf the memory-bound
+   one, whose long quiet stretches are the skipped ones. *)
 let test_nosink_stats_equal_sink_stats () =
   List.iter
     (fun bench ->
@@ -122,16 +124,25 @@ let test_nosink_stats_equal_sink_stats () =
           List.iter
             (fun tech ->
               let nosink = run_with ~sched bench tech ~attach:(fun _ -> ()) in
+              let folded = Stats.create () in
               let sunk =
                 run_with ~sched bench tech ~attach:(fun p ->
-                    Pipeline.subscribe ~name:"null" p (fun _ -> ()))
+                    Pipeline.subscribe ~name:"null" p (fun _ -> ());
+                    Pipeline.subscribe ~name:"stats-fold" p
+                      (Stats.absorb folded))
+              in
+              let where =
+                Fmt.str "%s/%s/%s" bench.Sdiq_workloads.Bench.name
+                  (Technique.name tech) (Sdiq_cpu.Sched.name sched)
               in
               Alcotest.(check bool)
-                (Fmt.str "%s/%s/%s: no-sink stats == sink-attached stats"
-                   bench.Sdiq_workloads.Bench.name (Technique.name tech)
-                   (Sdiq_cpu.Sched.name sched))
+                (where ^ ": no-sink stats == sink-attached stats")
                 true
-                (Stats.equal nosink sunk))
+                (Stats.equal nosink sunk);
+              Alcotest.(check bool)
+                (where ^ ": Stats.absorb fold == sink-attached stats")
+                true
+                (Stats.equal folded sunk))
             Technique.all)
         Sdiq_cpu.Sched.[ oldest_first; nskip ~n:4; load_delay ])
     [ gzip (); mcf (); vpr (); twolf () ]

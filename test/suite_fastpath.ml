@@ -4,7 +4,8 @@
    over random operation sequences that include the keys and addresses
    where the fast path differs from the slow one (negative, unaligned,
    [min_int]/[max_int], page boundaries, page -1). Plus the allocation
-   budgets of fast-forward and the wrong-path overlay's restart. *)
+   budgets of fast-forward, the wrong-path overlay's restart and the
+   observed path's sinks. *)
 
 open Sdiq_isa
 module P = Sdiq_cpu.Pipeline
@@ -326,6 +327,33 @@ let test_restart_allocation () =
   Alcotest.(check int) "stores forgotten" 0 (Exec.peek ov 4000);
   Alcotest.(check int) "base falls through" 1 (Exec.peek ov 4096)
 
+(* The observed path's sinks allocate nothing per event once warm: a
+   recorded 20k-instruction gzip/noop stream replayed into a region
+   profiler (after one replay that resolves its counters and grows its
+   series) and into a per-kind counter. *)
+let test_sink_allocation () =
+  let module Tech = Sdiq_harness.Technique in
+  let module Region = Sdiq_obs.Region in
+  let b = Sdiq_workloads.W_gzip.build ~outer:2_000 () in
+  let map =
+    Region.build (Tech.delivery Tech.Noop) b.Sdiq_workloads.Bench.prog
+  in
+  let evs =
+    Test_util.record_stream ~policy:(Tech.policy Tech.Noop)
+      ~init:b.Sdiq_workloads.Bench.init ~budget:20_000
+      (Region.running_prog map)
+  in
+  let per_event name sink =
+    let w = minor_words (fun () -> Array.iter sink evs) in
+    let per = w /. float_of_int (Array.length evs) in
+    if per >= 0.01 then
+      Alcotest.failf "%s: %.3f minor words per event" name per
+  in
+  let prof = Sdiq_obs.Profiler.create map in
+  Array.iter (Sdiq_obs.Profiler.sink prof) evs;
+  per_event "profiler" (Sdiq_obs.Profiler.sink prof);
+  per_event "counts" (Sdiq_events.Counts.sink (Sdiq_events.Counts.create ()))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest intmap_matches_model;
@@ -339,4 +367,5 @@ let suite =
     Alcotest.test_case "fast-forward allocation" `Quick test_ff_allocation;
     Alcotest.test_case "overlay restart allocation" `Quick
       test_restart_allocation;
+    Alcotest.test_case "sink allocation" `Quick test_sink_allocation;
   ]

@@ -347,6 +347,177 @@ let test_profile_all_deterministic () =
         (Profiler.to_json prof1) (Profiler.to_json prof2))
     pairs_s pairs_p
 
+(* --- the sink against its reference ------------------------------------ *)
+
+(* The region profiler's sink as it was when every counter went through
+   a string-keyed [Metrics.incr] per event: the reference the
+   cell-based sink must reproduce byte for byte. (It also kept a
+   per-region occupancy histogram that nothing ever read; that is left
+   out.) *)
+module Reference = struct
+  module Event = Sdiq_events.Event
+
+  type per = { stats : Stats.t; mutable peak : int }
+
+  type t = {
+    map : Region.t;
+    regions : per array;
+    metrics : Metrics.t;
+    commits_series : Series.t;
+    wakeups_series : Series.t;
+    occ_hist : Hist.t;
+    wakeup_hist : Hist.t;
+    mutable cur : int;
+    mutable cycle : int;
+  }
+
+  let create map =
+    let cfg = Sdiq_cpu.Config.default and window = 1000 in
+    let occ_kind =
+      Hist.Linear { width = 8; buckets = (cfg.Sdiq_cpu.Config.iq_size / 8) + 1 }
+    in
+    let metrics = Metrics.create () in
+    {
+      map;
+      regions =
+        Array.init (Region.count map) (fun _ ->
+            { stats = Stats.create (); peak = 0 });
+      metrics;
+      commits_series = Metrics.series metrics "commits_per_window" ~window;
+      wakeups_series =
+        Metrics.series metrics "wakeups_gated_per_window" ~window;
+      occ_hist = Metrics.hist metrics "iq_occupancy" occ_kind;
+      wakeup_hist =
+        Metrics.hist metrics "wakeup_gated" (Hist.Log2 { buckets = 16 });
+      cur = 0;
+      cycle = 0;
+    }
+
+  let sink t ev =
+    (match ev with
+    | Event.Commit { dyn } ->
+      let r = Region.of_addr t.map dyn.Sdiq_isa.Exec.pc in
+      if r <> t.cur then begin
+        t.cur <- r;
+        Metrics.incr t.metrics "region_switches"
+      end
+    | _ -> ());
+    let per = t.regions.(t.cur) in
+    (match ev with
+    | Event.Cycle_end { iq_occupancy; _ } ->
+      let spent = per.stats.Stats.cycles in
+      Stats.absorb per.stats ev;
+      per.stats.Stats.cycles <- spent + 1;
+      if iq_occupancy > per.peak then per.peak <- iq_occupancy
+    | _ -> Stats.absorb per.stats ev);
+    Metrics.incr t.metrics "events";
+    match ev with
+    | Event.Commit _ ->
+      Metrics.incr t.metrics "commits";
+      Series.observe t.commits_series ~cycle:t.cycle 1
+    | Event.Wakeup { gated; _ } ->
+      Metrics.incr ~by:gated t.metrics "wakeups_gated";
+      Hist.observe t.wakeup_hist gated;
+      Series.observe t.wakeups_series ~cycle:t.cycle gated
+    | Event.Cycle_end { cycle; iq_occupancy; _ } ->
+      Metrics.incr t.metrics "cycles";
+      Hist.observe t.occ_hist iq_occupancy;
+      t.cycle <- cycle + 1
+    | _ -> ()
+end
+
+(* Feed [events] to a fresh profiler and a fresh reference. The
+   registries must render byte-identically, and every region's bucket
+   and peak must agree: those are all [Profiler.to_json] reads from the
+   stream, the map and the energy parameters being shared. *)
+let check_against_reference where map events =
+  let prof = Profiler.create map in
+  let r = Reference.create map in
+  Array.iter
+    (fun ev ->
+      Profiler.sink prof ev;
+      Reference.sink r ev)
+    events;
+  let m = Profiler.metrics prof in
+  Alcotest.(check string)
+    (where ^ ": Metrics.to_string")
+    (Metrics.to_string r.Reference.metrics) (Metrics.to_string m);
+  Alcotest.(check string)
+    (where ^ ": Metrics.to_json")
+    (Metrics.to_json r.Reference.metrics) (Metrics.to_json m);
+  Array.iteri
+    (fun i (per : Reference.per) ->
+      if not (Stats.equal per.Reference.stats (Profiler.region_stats prof i))
+      then Alcotest.failf "%s: region %d statistics differ" where i;
+      if per.Reference.peak <> Profiler.region_peak prof i then
+        Alcotest.failf "%s: region %d peak %d, reference %d" where i
+          (Profiler.region_peak prof i) per.Reference.peak)
+    r.Reference.regions;
+  prof
+
+(* Every tiny kernel under every technique and three schedulers: a
+   stream recorded once is replayed into the profiler and its
+   reference, and the replayed profile must also render the same JSON
+   as a profiler attached to the recording run. *)
+let test_sink_matches_reference () =
+  let scheds = Sdiq_cpu.Sched.[ oldest_first; nskip ~n:2; load_delay ] in
+  List.iter
+    (fun (bench : Bench.t) ->
+      List.iter
+        (fun tech ->
+          let map = Region.build (Technique.delivery tech) bench.Bench.prog in
+          List.iter
+            (fun sched ->
+              let where =
+                Printf.sprintf "%s/%s/%s" bench.Bench.name
+                  (Technique.name tech) (Sdiq_cpu.Sched.name sched)
+              in
+              let p =
+                Pipeline.create ~policy:(Technique.policy tech) ~sched
+                  (Region.running_prog map)
+              in
+              let live = Profiler.attach map p in
+              let evs = ref [] in
+              Pipeline.subscribe ~name:"recorder" p (fun e -> evs := e :: !evs);
+              bench.Bench.init p.Pipeline.exec;
+              ignore (Pipeline.run ~max_insns:budget p : Stats.t);
+              let replayed =
+                check_against_reference where map
+                  (Array.of_list (List.rev !evs))
+              in
+              Alcotest.(check string)
+                (where ^ ": replayed profile == live profile")
+                (Profiler.to_json live) (Profiler.to_json replayed))
+            scheds)
+        Technique.extended)
+    (Sdiq_workloads.Suite.tiny ())
+
+(* Counters that never occur stay absent, as with [Metrics.incr]: an
+   empty stream leaves no counter at all, and a stream without commits
+   or wakeups has no commits, region_switches or wakeups_gated. *)
+let test_absent_counters_stay_absent () =
+  let bench = List.hd (Sdiq_workloads.Suite.tiny ()) in
+  let map = Region.build Region.Noop bench.Bench.prog in
+  let counters prof = List.map fst (Metrics.counters (Profiler.metrics prof)) in
+  let empty = check_against_reference "empty stream" map [||] in
+  Alcotest.(check (list string)) "no counters" [] (counters empty);
+  let evs =
+    Test_util.record_stream
+      ~policy:(Technique.policy Technique.Noop)
+      ~init:bench.Bench.init ~budget (Region.running_prog map)
+  in
+  let quiet =
+    Array.of_list
+      (List.filter
+         (function
+           | Sdiq_events.Event.Commit _ | Sdiq_events.Event.Wakeup _ -> false
+           | _ -> true)
+         (Array.to_list evs))
+  in
+  let prof = check_against_reference "no commits or wakeups" map quiet in
+  Alcotest.(check (list string)) "only events and cycles"
+    [ "cycles"; "events" ] (counters prof)
+
 (* --- host self-profiling ------------------------------------------------ *)
 
 let test_hostprof_smoke () =
@@ -391,5 +562,9 @@ let suite =
       test_slack_report_nonempty;
     Alcotest.test_case "sharded profiling campaign is deterministic" `Quick
       test_profile_all_deterministic;
+    Alcotest.test_case "profiler sink matches its string-keyed reference"
+      `Quick test_sink_matches_reference;
+    Alcotest.test_case "profiler counters that never occur stay absent"
+      `Quick test_absent_counters_stay_absent;
     Alcotest.test_case "hostprof smoke" `Quick test_hostprof_smoke;
   ]
