@@ -40,7 +40,12 @@
    Hot-loop storage is flat (DESIGN.md §13): the fetch queue is a ring
    over parallel arrays, completions sit in a cycle-indexed timing wheel,
    unpipelined-FU occupancy is a per-class array of release cycles, and
-   writeback/issue reuse preallocated scratch arrays across cycles.
+   writeback/issue reuse preallocated scratch arrays across cycles. No
+   stage decodes an [Instr.t]: rename, dispatch, issue, commit, squash,
+   wrong-path fetch and fast-forward read a dynamic instruction's
+   operands, class bits, unit and latency from the oracle's decoded
+   program at its pc ([t.dec], [Sdiq_isa.Decoded]); only the annotation
+   tag comes from the [Instr.t].
 
    The no-sink hot loop does work in proportion to events, not to queue
    occupancy times cycles (DESIGN.md §13.1):
@@ -62,6 +67,11 @@ module Bus = Sdiq_events.Bus
 type t = {
   cfg : Config.t;
   prog : Prog.t;
+  dec : Decoded.t;
+      (* the oracle's decoded program ([Exec.create]): every stage reads
+         a dynamic instruction's operands, class bits, unit and latency
+         from [dec.(dyn.pc)]; only the annotation tag comes from the
+         [Instr.t] *)
   exec : Exec.state;
   policy : Policy.t;
   sched : Sched.t;
@@ -395,6 +405,7 @@ let create ?(config = Config.default) ?(policy = Policy.unlimited) ?sched prog =
     {
       cfg = config;
       prog;
+      dec = exec.Exec.dec;
       exec;
       policy;
       sched;
@@ -514,7 +525,6 @@ let release_dest_code t code =
 
 let commit_one t idx =
   let dyn = Rob.dyn t.rob idx in
-  let i = dyn.Exec.instr in
   emit_commit t dyn;
   release_dest_code t (Rob.old_code t.rob idx);
   (* Memory instructions leave the LSQ in program order at commit. *)
@@ -524,7 +534,7 @@ let commit_one t idx =
      exact and avoids stale-history aliasing for in-flight branches. *)
   (* Stores write the data cache at commit; write misses allocate but do
      not stall the pipeline (a write buffer is assumed). *)
-  if Instr.is_store i then begin
+  if t.dec.(dyn.Exec.pc).Decoded.is_store then begin
     t.stores_in_flight <- t.stores_in_flight - 1;
     touch_l1 t t.dl1 dyn.Exec.addr ~count:true
   end
@@ -548,17 +558,14 @@ let undo_rename t idx =
   let code = Rob.dest_code t.rob idx in
   if code <> 0 then begin
     let old = Rob.old_code t.rob idx in
+    let e = t.dec.((Rob.dyn t.rob idx).Exec.pc) in
     if code land 1 = 1 then begin
       Regfile.release t.int_rf (code asr 1);
-      match (Rob.dyn t.rob idx).Exec.instr.Instr.dst with
-      | Some (Reg.Int a) -> t.int_map.(a) <- old asr 1
-      | Some (Reg.Fp _) | None -> assert false
+      t.int_map.(e.Decoded.idst) <- old asr 1
     end
     else begin
       Regfile.release t.fp_rf ((code asr 1) - 1);
-      match (Rob.dyn t.rob idx).Exec.instr.Instr.dst with
-      | Some (Reg.Fp a) -> t.fp_map.(a) <- (old asr 1) - 1
-      | Some (Reg.Int _) | None -> assert false
+      t.fp_map.(e.Decoded.fdst) <- (old asr 1) - 1
     end
   end
 
@@ -617,7 +624,7 @@ let squash_wrong_path t bidx =
       Bytes.unsafe_set t.iq_wp slot '\000'
     end;
     if Rob.lsq_slot t.rob idx >= 0 then Lsq.pop_tail t.lsq ~rob_idx:idx;
-    if Instr.is_store (Rob.dyn t.rob idx).Exec.instr then
+    if t.dec.((Rob.dyn t.rob idx).Exec.pc).Decoded.is_store then
       t.stores_in_flight <- t.stores_in_flight - 1;
     Rob.pop_tail t.rob
   done;
@@ -806,27 +813,17 @@ let load_cache_latency t addr =
 
 (* One register-file read event per issuing instruction, counting its
    int and fp source reads (the per-file counters live in [Regfile] for
-   the invariant checker's recount). Reads the source fields directly —
-   [Instr.sources] would build a list. *)
-let count_rf_reads t (i : Instr.t) =
-  let ints = ref 0 and fps = ref 0 in
-  (match i.Instr.src1 with
-  | Some (Reg.Int 0) | None -> ()
-  | Some (Reg.Int _) ->
-    Regfile.note_read t.int_rf;
-    incr ints
-  | Some (Reg.Fp _) ->
-    Regfile.note_read t.fp_rf;
-    incr fps);
-  (match i.Instr.src2 with
-  | Some (Reg.Int 0) | None -> ()
-  | Some (Reg.Int _) ->
-    Regfile.note_read t.int_rf;
-    incr ints
-  | Some (Reg.Fp _) ->
-    Regfile.note_read t.fp_rf;
-    incr fps);
-  if !ints > 0 || !fps > 0 then emit_rf_read t ~ints:!ints ~fps:!fps
+   the invariant checker's recount). *)
+let count_rf_reads t (e : Decoded.entry) =
+  let ints = (if e.isrc1 > 0 then 1 else 0) + if e.isrc2 > 0 then 1 else 0 in
+  let fps = (if e.fsrc1 >= 0 then 1 else 0) + if e.fsrc2 >= 0 then 1 else 0 in
+  for _ = 1 to ints do
+    Regfile.note_read t.int_rf
+  done;
+  for _ = 1 to fps do
+    Regfile.note_read t.fp_rf
+  done;
+  if ints > 0 || fps > 0 then emit_rf_read t ~ints ~fps
 
 let issue_stage t =
   (* Issue slots per class: unit count minus units still executing an
@@ -888,15 +885,14 @@ let issue_stage t =
       let slot = t.cand_slot.(c) in
       let rob_idx = Iq.slot_rob_idx iq slot in
       let dyn = Rob.dyn t.rob rob_idx in
-      let i = dyn.Exec.instr in
-      let cls = Instr.fu_class i in
-      let k = Fu.index cls in
+      let e = t.dec.(dyn.Exec.pc) in
+      let k = e.Decoded.fu in
       if t.avail.(k) > 0 then begin
         (* Loads must respect older same-address stores. *)
         let can = ref true in
         let extra = ref 0 in
         let store_forward = ref false in
-        if Instr.is_load i then begin
+        if e.Decoded.is_load then begin
           let sidx = conflicting_store t rob_idx dyn.Exec.addr in
           if sidx >= 0 then
             if Rob.is_completed t.rob sidx then begin
@@ -909,7 +905,7 @@ let issue_stage t =
         end;
         (* Address translation at issue: a DTLB miss delays the result,
            it does not block the issue slot. *)
-        if !can && Instr.is_mem i && not (Tlb.access t.dtlb dyn.Exec.addr)
+        if !can && e.Decoded.is_mem && not (Tlb.access t.dtlb dyn.Exec.addr)
         then begin
           emit_tlb_miss t Ev.Dtlb dyn.Exec.addr;
           extra := !extra + t.cfg.Config.tlb_miss_penalty
@@ -922,11 +918,11 @@ let issue_stage t =
           Rob.set_state t.rob rob_idx Rob.Issued;
           Rob.set_iq_slot t.rob rob_idx (-1);
           emit_select t ~rob_idx ~iq_slot:slot;
-          let lat = Instr.latency i + !extra in
+          let lat = e.Decoded.latency + !extra in
           emit_issue t dyn ~latency:lat ~store_forward:!store_forward
             ~wp:(Rob.is_wp t.rob rob_idx);
-          count_rf_reads t i;
-          if Opcode.unpipelined i.Instr.op then begin
+          count_rf_reads t e;
+          if e.Decoded.unpipelined then begin
             (* Claim a unit instance that is currently free. One exists:
                avail was positive, so busy units < unit count. *)
             let rel = t.fu_release.(k) in
@@ -971,26 +967,24 @@ let throttled t = function
   | Stop_iq_full -> Iq.active_size t.iq < Iq.size t.iq
   | Keep_going | Stop_rob_full | Stop_no_reg | Stop_lsq_full -> false
 
-(* Rename one source: the physical tag and readiness packed into
-   [(tag lsl 1) lor ready]; -1 when the operand is absent (no register,
-   or the hardwired zero). *)
-let src_code t r =
-  match r with
-  | Some (Reg.Int 0) | None -> -1
-  | Some (Reg.Int a) ->
-    let p = t.int_map.(a) in
+(* Rename one source, given as its decoded int and fp indices: the
+   physical tag and readiness packed into [(tag lsl 1) lor ready]; -1
+   when the operand is absent (no register, or the hardwired zero). *)
+let src_code t ~ireg ~freg =
+  if ireg > 0 then
+    let p = t.int_map.(ireg) in
     (int_tag p lsl 1) lor (if Regfile.is_ready t.int_rf p then 1 else 0)
-  | Some (Reg.Fp a) ->
-    let p = t.fp_map.(a) in
+  else if freg >= 0 then
+    let p = t.fp_map.(freg) in
     (fp_tag t p lsl 1) lor (if Regfile.is_ready t.fp_rf p then 1 else 0)
+  else -1
 
 (* Rename the destination; returns [(dest_code lsl 20) lor old_code] in
    Rob's packed encoding, or -1 when no register is free. The new tag's
    IQ waiter list starts empty. *)
-let rename_dest_codes t (i : Instr.t) =
-  match i.Instr.dst with
-  | Some (Reg.Int 0) | None -> 0 (* zero-register writes are discarded *)
-  | Some (Reg.Int a) ->
+let rename_dest_codes t (e : Decoded.entry) =
+  if e.idst > 0 then begin
+    let a = e.idst in
     let p = Regfile.alloc_idx t.int_rf in
     if p < 0 then -1
     else begin
@@ -999,7 +993,9 @@ let rename_dest_codes t (i : Instr.t) =
       t.int_map.(a) <- p;
       (((2 * p) + 1) lsl 20) lor ((2 * old) + 1)
     end
-  | Some (Reg.Fp a) ->
+  end
+  else if e.fdst >= 0 then begin
+    let a = e.fdst in
     let p = Regfile.alloc_idx t.fp_rf in
     if p < 0 then -1
     else begin
@@ -1008,16 +1004,17 @@ let rename_dest_codes t (i : Instr.t) =
       t.fp_map.(a) <- p;
       (((2 * p) + 2) lsl 20) lor ((2 * old) + 2)
     end
+  end
+  else 0 (* no destination; zero-register writes are discarded *)
 
-let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
-  let i = dyn.Exec.instr in
+let dispatch_one t (dyn : Exec.dyn) (e : Decoded.entry) ~wp : dispatch_stop =
   (* A tag (the "Extension" encoding) opens a new region for this very
      instruction, costing nothing. Trace-only event: a stalled dispatch
      retries and re-announces the same delivery next cycle (the policy
      dedupes by region pc). Wrong-path tags are dropped: the policy's
      region state is software-architectural and is not rolled back at a
      squash, so it must only ever see the correct path. *)
-  (match i.Instr.tag with
+  (match dyn.Exec.instr.Instr.tag with
   | Some v when not wp ->
     if t.bus_on then
       Bus.emit t.bus
@@ -1027,17 +1024,17 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
   if Rob.is_full t.rob then Stop_rob_full
   else if not (Policy.allows t.policy t.iq) then
     if Iq.is_full t.iq then Stop_iq_full else Stop_policy
-  else if Instr.is_mem i && Lsq.is_full t.lsq then Stop_lsq_full
+  else if e.is_mem && Lsq.is_full t.lsq then Stop_lsq_full
   else begin
     (* Sources must be renamed before the destination gets a fresh
        register, or an instruction like [addi r2, r2, 1] would wait on
        its own result. The first present source is operand 0. *)
-    let c1 = src_code t i.Instr.src1 in
-    let c2 = src_code t i.Instr.src2 in
+    let c1 = src_code t ~ireg:e.isrc1 ~freg:e.fsrc1 in
+    let c2 = src_code t ~ireg:e.isrc2 ~freg:e.fsrc2 in
     let a = if c1 >= 0 then c1 else c2 in
     let b = if c1 >= 0 then c2 else -1 in
     let nsrc = (if a >= 0 then 1 else 0) + (if b >= 0 then 1 else 0) in
-    let packed = rename_dest_codes t i in
+    let packed = rename_dest_codes t e in
     if packed < 0 then Stop_no_reg
     else begin
       (* Track, per physical tag, whether the current producer is a load
@@ -1054,7 +1051,7 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
            else t.cfg.Config.rf_size + (code asr 1) - 1
          in
          Bytes.unsafe_set t.tag_is_load tag
-           (if Instr.is_load i then '\001' else '\000')
+           (if e.is_load then '\001' else '\000')
        end);
       let rob_idx =
         Rob.push_codes t.rob ~dyn ~dest_code:(packed lsr 20)
@@ -1088,8 +1085,8 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
       if t.blocked_sn = dyn.Exec.sn then
         Rob.set_blocked_fetch t.rob rob_idx true;
       let kind =
-        if Instr.is_load i then Ev.Load
-        else if Instr.is_store i then begin
+        if e.is_load then Ev.Load
+        else if e.is_store then begin
           t.stores_in_flight <- t.stores_in_flight + 1;
           Ev.Store
         end
@@ -1098,10 +1095,10 @@ let dispatch_one t (dyn : Exec.dyn) ~wp : dispatch_stop =
       (* Memory instructions claim their LSQ entry speculatively at
          dispatch; addresses are exact (the frontend computes them), so
          the forwarding search never needs late disambiguation. *)
-      if Instr.is_mem i then begin
+      if e.is_mem then begin
         let ls =
           Lsq.push t.lsq ~rob_idx ~addr:dyn.Exec.addr
-            ~is_store:(Instr.is_store i) ~wp
+            ~is_store:e.is_store ~wp
         in
         Rob.set_lsq_slot t.rob rob_idx ls
       end;
@@ -1131,7 +1128,8 @@ let dispatch_stage t =
        branch's, so the comparison also keeps the branch itself (and
        anything older still queued) on the correct path. *)
     let wp = t.wp_mode && dyn.Exec.sn > t.blocked_sn in
-    match dyn.Exec.instr.Instr.op with
+    let e = t.dec.(dyn.Exec.pc) in
+    match e.Decoded.op with
     | Opcode.Iqset ->
       (* The special NOOP is stripped at the last decode stage — but it has
          already consumed fetch bandwidth and now a dispatch slot
@@ -1139,14 +1137,12 @@ let dispatch_stage t =
          annotation never reaches the (squash-exempt) policy state. *)
       fq_pop t;
       if not wp then begin
-        Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc
-          ~value:dyn.Exec.instr.Instr.imm;
-        emit_annotation_noop t ~pc:dyn.Exec.pc
-          ~value:dyn.Exec.instr.Instr.imm
+        Policy.on_annotation t.policy t.iq ~pc:dyn.Exec.pc ~value:e.imm;
+        emit_annotation_noop t ~pc:dyn.Exec.pc ~value:e.imm
       end;
       decr slots
     | _ -> (
-      match dispatch_one t dyn ~wp with
+      match dispatch_one t dyn e ~wp with
       | Keep_going ->
         fq_pop t;
         decr slots
@@ -1193,7 +1189,7 @@ let ifetch_stall t start_pc =
 
 (* --- frontend training ---------------------------------------------------- *)
 
-(* Train the frontend on the correct-path control instruction [instr]
+(* Train the frontend on the correct-path control instruction [op]
    at [pc], resolved [~taken] to [~next_pc], as both detailed fetch and
    fast-forward do: a conditional predicts, looks up the BTB, trains the
    direction tables and, if taken, the BTB; a jump or call (after
@@ -1201,8 +1197,8 @@ let ifetch_stall t start_pc =
    pops the RAS. Returns the target predicted before training — the
    BTB's, or the RAS's for a return; -1 for none — and leaves a
    conditional's predicted direction in [d_pred_taken]. *)
-let train_control t pc (instr : Instr.t) ~taken ~next_pc =
-  match instr.Instr.op with
+let train_control t pc (op : Opcode.t) ~taken ~next_pc =
+  match op with
   | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
     t.d_pred_taken <- Branch_pred.predict_direction t.bpred pc;
     let tgt = Branch_pred.btb_lookup_tgt t.bpred pc in
@@ -1240,16 +1236,16 @@ let wp_step t : Exec.dyn option =
   let pc = w.Exec.pc in
   if pc < 0 || pc >= Prog.length t.prog then None
   else begin
-    let i = t.prog.Prog.code.(pc) in
+    let e = t.dec.(pc) in
     let taken =
-      match i.Instr.op with
+      match e.Decoded.op with
       | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
         Branch_pred.predict_direction t.bpred pc
       | Opcode.Jmp | Opcode.Call | Opcode.Ret -> true
       | _ -> false
     in
     let next_pc =
-      match i.Instr.op with
+      match e.Decoded.op with
       | Opcode.Halt -> -1
       | Opcode.Ret -> Branch_pred.ras_pop_addr t.bpred
       | Opcode.Call ->
@@ -1260,12 +1256,19 @@ let wp_step t : Exec.dyn option =
     in
     if next_pc < 0 then None
     else begin
-      Exec.execute w i;
+      Exec.execute w e;
       let sn = w.Exec.steps in
       w.Exec.steps <- sn + 1;
       w.Exec.pc <- next_pc;
       Some
-        { Exec.sn; pc; instr = i; next_pc; taken; addr = w.Exec.d_addr }
+        {
+          Exec.sn;
+          pc;
+          instr = t.prog.Prog.code.(pc);
+          next_pc;
+          taken;
+          addr = w.Exec.d_addr;
+        }
     end
   end
 
@@ -1318,7 +1321,7 @@ let wp_fetch_stage t =
                correct path. *)
             if dyn.Exec.taken then continue := false;
             let outcome =
-              match dyn.Exec.instr.Instr.op with
+              match t.dec.(dyn.Exec.pc).Decoded.op with
               | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
                 Ev.Cond_branch
                   {
@@ -1371,8 +1374,8 @@ let fetch_stage t =
             t.halted <- true;
             continue := false
           | Some dyn ->
-            let i = dyn.Exec.instr in
-            (match i.Instr.op with
+            let op = t.dec.(dyn.Exec.pc).Decoded.op in
+            (match op with
             | Opcode.Halt ->
               t.halted <- true;
               continue := false
@@ -1382,12 +1385,12 @@ let fetch_stage t =
               incr fetched;
               (* Control flow: train the predictor against the oracle,
                  then emit one [Fetch] event capturing the outcome. *)
-              (match i.Instr.op with
+              (match op with
               | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge ->
                 (* Trained immediately: fetch order = commit order on the
                    correct path. *)
                 let btb =
-                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                  train_control t dyn.Exec.pc op ~taken:dyn.Exec.taken
                     ~next_pc:dyn.Exec.next_pc
                 in
                 let predicted_taken = t.d_pred_taken in
@@ -1426,7 +1429,7 @@ let fetch_stage t =
                     ~btb_bubble:false
               | Opcode.Jmp | Opcode.Call ->
                 let btb =
-                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                  train_control t dyn.Exec.pc op ~taken:dyn.Exec.taken
                     ~next_pc:dyn.Exec.next_pc
                 in
                 let btb_bubble =
@@ -1438,12 +1441,12 @@ let fetch_stage t =
                   end
                 in
                 continue := false;
-                if i.Instr.op = Opcode.Jmp then
+                if op = Opcode.Jmp then
                   emit_fetch_jump t dyn ~btb_bubble
                 else emit_fetch_call t dyn ~btb_bubble
               | Opcode.Ret ->
                 let ra =
-                  train_control t dyn.Exec.pc i ~taken:dyn.Exec.taken
+                  train_control t dyn.Exec.pc op ~taken:dyn.Exec.taken
                     ~next_pc:dyn.Exec.next_pc
                 in
                 let mispredicted =
@@ -1725,6 +1728,7 @@ let fast_forward t ~insns =
   if not (in_flight_empty t) then
     invalid_arg "Pipeline.fast_forward: pipeline not drained";
   let ex = t.exec in
+  let dec = t.dec in
   let code = t.prog.Prog.code in
   let il1_line = t.cfg.Config.il1_line in
   let n = ref 0 in
@@ -1733,7 +1737,7 @@ let fast_forward t ~insns =
   let line_lo = ref 0 and line_hi = ref 0 in
   while !n < insns && not t.halted do
     let pc = ex.Exec.pc in
-    if pc < 0 || pc >= Array.length code then t.halted <- true
+    if pc < 0 || pc >= Array.length dec then t.halted <- true
     else begin
       if pc < !line_lo || pc >= !line_hi then begin
         let line = line_of t pc in
@@ -1746,15 +1750,15 @@ let fast_forward t ~insns =
       else begin
         incr n;
         t.cycle <- t.cycle + 1;
-        let i = Array.unsafe_get code pc in
-        (match i.Instr.op with
+        let e = Array.unsafe_get dec pc in
+        (match e.Decoded.op with
         | Opcode.Halt -> t.halted <- true
         | Opcode.Iqset ->
-          Policy.on_annotation t.policy t.iq ~pc ~value:i.Instr.imm
+          Policy.on_annotation t.policy t.iq ~pc ~value:e.Decoded.imm
         | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
         | Opcode.Call | Opcode.Ret ->
           ignore
-            (train_control t pc i ~taken:ex.Exec.d_taken
+            (train_control t pc e.Decoded.op ~taken:ex.Exec.d_taken
                ~next_pc:ex.Exec.d_next_pc
               : int)
         | Opcode.Load | Opcode.Fload | Opcode.Store | Opcode.Fstore ->
@@ -1763,7 +1767,7 @@ let fast_forward t ~insns =
         | _ -> ());
         (* A tagged instruction delivers its annotation regardless of
            opcode, as at dispatch. *)
-        match i.Instr.tag with
+        match (Array.unsafe_get code pc).Instr.tag with
         | Some v -> Policy.on_annotation t.policy t.iq ~pc ~value:v
         | None -> ()
       end
@@ -1799,7 +1803,6 @@ module Debug = struct
   let halted t = t.halted
   let exec t = t.exec
   let stats t = t.stats
-  let fetch_queue_length t = t.fq_count
   let bus t = t.bus
   let lsq t = t.lsq
   let itlb t = t.itlb

@@ -37,6 +37,10 @@
 type t = {
   cfg : Config.t;
   prog : Sdiq_isa.Prog.t;
+  dec : Sdiq_isa.Decoded.t;
+      (** [exec]'s decoded program: every stage reads a dynamic
+          instruction's operands, class bits, unit and latency from
+          [dec.(dyn.pc)] *)
   exec : Sdiq_isa.Exec.state;
   policy : Policy.t;
   sched : Sched.t;  (** select/wakeup scheduler policy (the third axis) *)
@@ -227,7 +231,6 @@ module Debug : sig
   val halted : t -> bool
   val exec : t -> Sdiq_isa.Exec.state
   val stats : t -> Stats.t
-  val fetch_queue_length : t -> int
   val bus : t -> Sdiq_events.Bus.t
   val lsq : t -> Lsq.t
   val itlb : t -> Tlb.t

@@ -37,7 +37,6 @@ val is_completed : t -> int -> bool
 
 val dest_code : t -> int -> int
 val old_code : t -> int -> int
-val dest_of : t -> int -> dest
 val old_phys_of : t -> int -> dest
 
 val iq_slot : t -> int -> int
@@ -53,7 +52,7 @@ val is_wp : t -> int -> bool
 (** Allocate the tail entry; returns its index. Raises when full.
     Destinations come packed into one int each (0 none, [2p+1] int
     register [p], [2p+2] fp register [p]) for the allocation-free hot
-    path; {!dest_of}/{!old_phys_of} decode them. *)
+    path; {!old_phys_of} decodes the previous mapping. *)
 val push_codes :
   t ->
   dyn:Sdiq_isa.Exec.dyn ->

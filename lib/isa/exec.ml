@@ -7,10 +7,14 @@
    and the pipeline always agree on the committed stream.
 
    One datapath ([execute]) serves every executor, and one function
-   ([advance]) resolves the oracle's control flow. [advance] allocates
-   nothing per instruction and leaves its outcome in the state's [d_*]
-   fields: fast-forward and [run] use it directly, and [step] is
-   [advance] plus the [dyn] record detailed fetch keeps. The pipeline's
+   ([advance]) resolves the oracle's control flow. Both read the
+   program's decoded table ([Decoded], built once by [create] and
+   shared with overlays) rather than the [Instr.t] records: an operand
+   is one load from the entry, not an option and a register variant to
+   unwrap per dynamic instruction. [advance] allocates nothing per
+   instruction and leaves its outcome in the state's [d_*] fields:
+   fast-forward and [run] use it directly, and [step] is [advance] plus
+   the [dyn] record detailed fetch keeps. The pipeline's
    wrong-path instructions run [execute] on an [overlay]: registers
    copied from the oracle at episode entry, stores kept to itself, loads
    falling through to the oracle's memory — with control flow decided by
@@ -35,6 +39,7 @@ type dyn = {
 
 type state = {
   prog : Prog.t;
+  dec : Decoded.t; (* [prog] decoded, shared with overlays *)
   iregs : int array;
   fregs : float array;
   imem : Intmap.t; (* paged: allocation-free loads *)
@@ -52,9 +57,10 @@ type state = {
   mutable d_addr : int;
 }
 
-let make prog ~imem ~base =
+let make prog dec ~imem ~base =
   {
     prog;
+    dec;
     iregs = Array.make Reg.num_int 0;
     fregs = Array.make Reg.num_fp 0.;
     imem = Intmap.create imem;
@@ -69,8 +75,8 @@ let make prog ~imem ~base =
     d_addr = -1;
   }
 
-let create prog = make prog ~imem:4096 ~base:None
-let overlay base = make base.prog ~imem:64 ~base:(Some base)
+let create prog = make prog (Decoded.of_prog prog) ~imem:4096 ~base:None
+let overlay base = make base.prog base.dec ~imem:64 ~base:(Some base)
 
 (* Re-enter an overlay at [pc]: its stores are forgotten and its
    registers re-copied from the base's current values. *)
@@ -101,95 +107,86 @@ let rec fpeek t addr =
 let poke t addr v = Intmap.replace t.imem addr v
 let fpoke t addr v = Hashtbl.replace t.fmem addr v
 
-let ireg t r = if r = 0 then 0 else t.iregs.(r)
-let set_ireg t r v = if r <> 0 then t.iregs.(r) <- v
+(* Operands come from the decoded entry (see decoded.mli): int index 0
+   is "none" and [r0] holds 0 for ever, so int reads need no test;
+   -1 is the fp "none". Indices were range-checked at decode. *)
+let ireg t r = Array.unsafe_get t.iregs r
+let freg t r = if r < 0 then 0. else Array.unsafe_get t.fregs r
 
-let src1_int t (i : Instr.t) =
-  match i.src1 with Some (Reg.Int r) -> ireg t r | _ -> 0
+let write_int t (e : Decoded.entry) v =
+  if e.idst <> 0 then Array.unsafe_set t.iregs e.idst v
 
-let src2_int t (i : Instr.t) =
-  match i.src2 with Some (Reg.Int r) -> ireg t r | _ -> 0
-
-let src1_fp t (i : Instr.t) =
-  match i.src1 with Some (Reg.Fp r) -> t.fregs.(r) | _ -> 0.
-
-let src2_fp t (i : Instr.t) =
-  match i.src2 with Some (Reg.Fp r) -> t.fregs.(r) | _ -> 0.
-
-let write_int t (i : Instr.t) v =
-  match i.dst with
-  | Some (Reg.Int r) -> set_ireg t r v
-  | Some (Reg.Fp _) | None -> ()
-
-let write_fp t (i : Instr.t) v =
-  match i.dst with
-  | Some (Reg.Fp r) -> t.fregs.(r) <- v
-  | Some (Reg.Int _) | None -> ()
+let write_fp t (e : Decoded.entry) v =
+  if e.fdst >= 0 then Array.unsafe_set t.fregs e.fdst v
 
 let shift_ok n = n >= 0 && n < 63
 
 (* The datapath: ALU results, loads and stores, with the effective
    address left in [d_addr] (-1 for non-memory ops). Control transfers,
    [Nop], [Iqset] and [Halt] have no datapath effect. *)
-let execute t (i : Instr.t) =
+let execute t (e : Decoded.entry) =
   t.d_addr <- -1;
-  match i.op with
-  | Opcode.Add -> write_int t i (src1_int t i + src2_int t i)
-  | Opcode.Sub -> write_int t i (src1_int t i - src2_int t i)
-  | Opcode.And -> write_int t i (src1_int t i land src2_int t i)
-  | Opcode.Or -> write_int t i (src1_int t i lor src2_int t i)
-  | Opcode.Xor -> write_int t i (src1_int t i lxor src2_int t i)
+  match e.op with
+  | Opcode.Add -> write_int t e (ireg t e.isrc1 + ireg t e.isrc2)
+  | Opcode.Sub -> write_int t e (ireg t e.isrc1 - ireg t e.isrc2)
+  | Opcode.And -> write_int t e (ireg t e.isrc1 land ireg t e.isrc2)
+  | Opcode.Or -> write_int t e (ireg t e.isrc1 lor ireg t e.isrc2)
+  | Opcode.Xor -> write_int t e (ireg t e.isrc1 lxor ireg t e.isrc2)
   | Opcode.Shl ->
-    let n = src2_int t i in
-    write_int t i (if shift_ok n then src1_int t i lsl n else 0)
+    let n = ireg t e.isrc2 in
+    write_int t e (if shift_ok n then ireg t e.isrc1 lsl n else 0)
   | Opcode.Shr ->
-    let n = src2_int t i in
-    write_int t i (if shift_ok n then src1_int t i lsr n else 0)
-  | Opcode.Slt -> write_int t i (if src1_int t i < src2_int t i then 1 else 0)
-  | Opcode.Sle -> write_int t i (if src1_int t i <= src2_int t i then 1 else 0)
-  | Opcode.Seq -> write_int t i (if src1_int t i = src2_int t i then 1 else 0)
-  | Opcode.Sne -> write_int t i (if src1_int t i <> src2_int t i then 1 else 0)
-  | Opcode.Addi -> write_int t i (src1_int t i + i.imm)
-  | Opcode.Andi -> write_int t i (src1_int t i land i.imm)
-  | Opcode.Ori -> write_int t i (src1_int t i lor i.imm)
-  | Opcode.Xori -> write_int t i (src1_int t i lxor i.imm)
+    let n = ireg t e.isrc2 in
+    write_int t e (if shift_ok n then ireg t e.isrc1 lsr n else 0)
+  | Opcode.Slt ->
+    write_int t e (if ireg t e.isrc1 < ireg t e.isrc2 then 1 else 0)
+  | Opcode.Sle ->
+    write_int t e (if ireg t e.isrc1 <= ireg t e.isrc2 then 1 else 0)
+  | Opcode.Seq ->
+    write_int t e (if ireg t e.isrc1 = ireg t e.isrc2 then 1 else 0)
+  | Opcode.Sne ->
+    write_int t e (if ireg t e.isrc1 <> ireg t e.isrc2 then 1 else 0)
+  | Opcode.Addi -> write_int t e (ireg t e.isrc1 + e.imm)
+  | Opcode.Andi -> write_int t e (ireg t e.isrc1 land e.imm)
+  | Opcode.Ori -> write_int t e (ireg t e.isrc1 lor e.imm)
+  | Opcode.Xori -> write_int t e (ireg t e.isrc1 lxor e.imm)
   | Opcode.Shli ->
-    write_int t i (if shift_ok i.imm then src1_int t i lsl i.imm else 0)
+    write_int t e (if shift_ok e.imm then ireg t e.isrc1 lsl e.imm else 0)
   | Opcode.Shri ->
-    write_int t i (if shift_ok i.imm then src1_int t i lsr i.imm else 0)
-  | Opcode.Slti -> write_int t i (if src1_int t i < i.imm then 1 else 0)
-  | Opcode.Li -> write_int t i i.imm
-  | Opcode.Mov -> write_int t i (src1_int t i)
-  | Opcode.Mul -> write_int t i (src1_int t i * src2_int t i)
+    write_int t e (if shift_ok e.imm then ireg t e.isrc1 lsr e.imm else 0)
+  | Opcode.Slti -> write_int t e (if ireg t e.isrc1 < e.imm then 1 else 0)
+  | Opcode.Li -> write_int t e e.imm
+  | Opcode.Mov -> write_int t e (ireg t e.isrc1)
+  | Opcode.Mul -> write_int t e (ireg t e.isrc1 * ireg t e.isrc2)
   | Opcode.Div ->
-    let d = src2_int t i in
-    write_int t i (if d = 0 then 0 else src1_int t i / d)
-  | Opcode.Fadd -> write_fp t i (src1_fp t i +. src2_fp t i)
-  | Opcode.Fsub -> write_fp t i (src1_fp t i -. src2_fp t i)
-  | Opcode.Fmul -> write_fp t i (src1_fp t i *. src2_fp t i)
+    let d = ireg t e.isrc2 in
+    write_int t e (if d = 0 then 0 else ireg t e.isrc1 / d)
+  | Opcode.Fadd -> write_fp t e (freg t e.fsrc1 +. freg t e.fsrc2)
+  | Opcode.Fsub -> write_fp t e (freg t e.fsrc1 -. freg t e.fsrc2)
+  | Opcode.Fmul -> write_fp t e (freg t e.fsrc1 *. freg t e.fsrc2)
   | Opcode.Fdiv ->
-    let d = src2_fp t i in
-    write_fp t i (if d = 0. then 0. else src1_fp t i /. d)
-  | Opcode.Fli -> write_fp t i (float_of_int i.imm /. 1000.)
-  | Opcode.Fmov -> write_fp t i (src1_fp t i)
-  | Opcode.Itof -> write_fp t i (float_of_int (src1_int t i))
-  | Opcode.Ftoi -> write_int t i (int_of_float (src1_fp t i))
+    let d = freg t e.fsrc2 in
+    write_fp t e (if d = 0. then 0. else freg t e.fsrc1 /. d)
+  | Opcode.Fli -> write_fp t e (float_of_int e.imm /. 1000.)
+  | Opcode.Fmov -> write_fp t e (freg t e.fsrc1)
+  | Opcode.Itof -> write_fp t e (float_of_int (ireg t e.isrc1))
+  | Opcode.Ftoi -> write_int t e (int_of_float (freg t e.fsrc1))
   | Opcode.Load ->
-    let a = src1_int t i + i.imm in
+    let a = ireg t e.isrc1 + e.imm in
     t.d_addr <- a;
-    write_int t i (peek t a)
+    write_int t e (peek t a)
   | Opcode.Store ->
-    let a = src1_int t i + i.imm in
+    let a = ireg t e.isrc1 + e.imm in
     t.d_addr <- a;
-    poke t a (src2_int t i)
+    poke t a (ireg t e.isrc2)
   | Opcode.Fload ->
-    let a = src1_int t i + i.imm in
+    let a = ireg t e.isrc1 + e.imm in
     t.d_addr <- a;
-    write_fp t i (fpeek t a)
+    write_fp t e (fpeek t a)
   | Opcode.Fstore ->
-    let a = src1_int t i + i.imm in
+    let a = ireg t e.isrc1 + e.imm in
     t.d_addr <- a;
-    fpoke t a (src2_fp t i)
+    fpoke t a (freg t e.fsrc2)
   | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Bge | Opcode.Jmp
   | Opcode.Call | Opcode.Ret | Opcode.Nop | Opcode.Iqset | Opcode.Halt -> ()
 
@@ -200,33 +197,33 @@ let execute t (i : Instr.t) =
    halted. Allocates nothing but a call's return-address cons. *)
 let advance t =
   if t.halted then false
-  else if t.pc < 0 || t.pc >= Array.length t.prog.Prog.code then (
+  else if t.pc < 0 || t.pc >= Array.length t.dec then (
     t.halted <- true;
     false)
   else begin
     let pc = t.pc in
-    let i = Array.unsafe_get t.prog.Prog.code pc in
+    let e = Array.unsafe_get t.dec pc in
     t.steps <- t.steps + 1;
-    execute t i;
+    execute t e;
     let fallthrough = pc + 1 in
     t.d_next_pc <- fallthrough;
     t.d_taken <- false;
-    (match i.op with
+    (match e.op with
     | Opcode.Beq ->
-      if src1_int t i = src2_int t i then (t.d_taken <- true; t.d_next_pc <- i.target)
+      if ireg t e.isrc1 = ireg t e.isrc2 then (t.d_taken <- true; t.d_next_pc <- e.target)
     | Opcode.Bne ->
-      if src1_int t i <> src2_int t i then (t.d_taken <- true; t.d_next_pc <- i.target)
+      if ireg t e.isrc1 <> ireg t e.isrc2 then (t.d_taken <- true; t.d_next_pc <- e.target)
     | Opcode.Blt ->
-      if src1_int t i < src2_int t i then (t.d_taken <- true; t.d_next_pc <- i.target)
+      if ireg t e.isrc1 < ireg t e.isrc2 then (t.d_taken <- true; t.d_next_pc <- e.target)
     | Opcode.Bge ->
-      if src1_int t i >= src2_int t i then (t.d_taken <- true; t.d_next_pc <- i.target)
+      if ireg t e.isrc1 >= ireg t e.isrc2 then (t.d_taken <- true; t.d_next_pc <- e.target)
     | Opcode.Jmp ->
       t.d_taken <- true;
-      t.d_next_pc <- i.target
+      t.d_next_pc <- e.target
     | Opcode.Call ->
       t.d_taken <- true;
       t.stack <- fallthrough :: t.stack;
-      t.d_next_pc <- i.target
+      t.d_next_pc <- e.target
     | Opcode.Ret -> (
       t.d_taken <- true;
       match t.stack with

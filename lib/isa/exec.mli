@@ -10,7 +10,9 @@
     {!advance} adds the architectural control resolution (the only one),
     {!step} is {!advance} plus a {!dyn} record, and the pipeline's
     wrong-path executor runs {!execute} on an {!overlay} with control
-    flow taken from the branch predictor. *)
+    flow taken from the branch predictor. The datapath reads its
+    operands from the program's {!Decoded} table, built once by
+    {!create}; the program's code must not change afterwards. *)
 
 type dyn = {
   sn : int;       (** dynamic sequence number, from 0 *)
@@ -23,7 +25,10 @@ type dyn = {
 
 type state = {
   prog : Prog.t;
-  iregs : int array;
+  dec : Decoded.t;
+      (** [prog] decoded ({!Decoded.of_prog}), shared by an overlay with
+          its base; the pipeline's stages read it too *)
+  iregs : int array;  (** [iregs.(0)] is [r0]: it must stay 0 *)
   fregs : float array;
   imem : Intmap.t;  (** integer memory (paged, see {!Intmap}) *)
   fmem : (int, float) Hashtbl.t;
@@ -65,11 +70,12 @@ val poke : state -> int -> int -> unit
 val fpeek : state -> int -> float
 val fpoke : state -> int -> float -> unit
 
-(** The datapath of one instruction: ALU results, loads and stores,
-    with the effective address in [d_addr] ([-1] for non-memory ops).
-    Control transfers, [Nop], [Iqset] and [Halt] change nothing but
-    [d_addr]; [pc], [steps] and [halted] are the caller's. *)
-val execute : state -> Instr.t -> unit
+(** The datapath of one decoded instruction — normally [dec.(pc)]:
+    ALU results, loads and stores, with the effective address in
+    [d_addr] ([-1] for non-memory ops). Control transfers, [Nop],
+    [Iqset] and [Halt] change nothing but [d_addr]; [pc], [steps] and
+    [halted] are the caller's. *)
+val execute : state -> Decoded.entry -> unit
 
 (** Execute the instruction at the current pc — {!execute}, then the
     architectural control resolution — and move to the next, leaving

@@ -201,7 +201,8 @@ let rec to_string = function
   | Num f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
+    else if Float.is_finite f then Printf.sprintf "%.17g" f
+    else "null" (* JSON has no NaN or infinity *)
   | Str s -> "\"" ^ escape s ^ "\""
   | Arr vs -> "[" ^ String.concat "," (List.map to_string vs) ^ "]"
   | Obj kvs ->
@@ -213,8 +214,14 @@ let rec to_string = function
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 
+(* [int_of_float] is unspecified outside the int range: 1e300 must not
+   come back as some arbitrary int. *)
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < -.Float.of_int min_int ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

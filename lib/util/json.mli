@@ -16,15 +16,21 @@ type t =
 
 val parse : string -> (t, string) result
 
-(** Canonical compact rendering; [parse (to_string v)] returns [v] up
-    to float rounding (exact with [%.17g]). *)
+(** Canonical compact rendering; [parse (to_string v)] returns [v]
+    exactly ([%.17g] round-trips every finite float). JSON has no
+    non-finite numbers: [Num nan] and [Num (+/-infinity)] render as
+    [null], so they come back as [Null] and the output always parses. *)
 val to_string : t -> string
 
 (** First value bound to [key]; [None] when absent or not an object. *)
 val member : string -> t -> t option
 
 val to_float : t -> float option
+
+(** [Some n] for an integral number in the [int] range; [None] for a
+    fraction, a number outside that range, or a non-number. *)
 val to_int : t -> int option
+
 val to_str : t -> string option
 val to_list : t -> t list option
 

@@ -256,7 +256,7 @@ let test_overlay () =
   base.Exec.fregs.(1) <- 1.5;
   let ov = Exec.overlay base in
   Exec.restart ov ~pc:0 ~steps:5;
-  let exec i = Exec.execute ov i in
+  let exec i = Exec.execute ov (Decoded.decode i) in
   let mk = Instr.make in
   exec (mk ~dst:(r 3) ~src1:(r 1) ~imm:0 Opcode.Load);
   Alcotest.(check int) "int load falls through" 7 ov.Exec.iregs.(3);

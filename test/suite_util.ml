@@ -163,6 +163,68 @@ let test_pool_sizes () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* --- JSON numbers ----------------------------------------------------- *)
+
+let special_floats =
+  [|
+    nan; infinity; neg_infinity; 0.; -0.; 1e300; -1e300; max_float;
+    -.max_float; min_float; 5e-324; 1e15; -1e15; 0.1; 4.611686018427387904e18;
+    -4.611686018427387904e18; 4.6116860184273874e18; 9.2233720368547758e18;
+  |]
+
+let json_float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofa special_floats);
+        (2, float);
+        (1, map Float.of_int int);
+        (1, map (fun e -> Float.ldexp 1. e) (int_range (-1074) 1023));
+      ])
+
+(* Finite numbers round-trip bit for bit, alone and inside a document;
+   non-finite ones print as [null], which parses; [to_int] answers only
+   inside the int range. *)
+let prop_json_numbers =
+  QCheck.Test.make ~count:1000 ~name:"json numbers round-trip"
+    (QCheck.make ~print:(Printf.sprintf "%h") json_float_gen)
+    (fun f ->
+      let doc = Json.Obj [ ("x", Json.Arr [ Json.Num f ]) ] in
+      let back = Json.parse (Json.to_string doc) in
+      let same =
+        match (Json.parse (Json.to_string (Json.Num f)), back) with
+        | Ok (Json.Num g), Ok (Json.Obj [ ("x", Json.Arr [ Json.Num h ]) ]) ->
+          Float.is_finite f
+          && Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+          && Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float h)
+        | Ok Json.Null, Ok (Json.Obj [ ("x", Json.Arr [ Json.Null ]) ]) ->
+          not (Float.is_finite f)
+        | _ -> false
+      in
+      let in_range = f >= -0x1p62 && f < 0x1p62 in
+      let int_ok =
+        match Json.to_int (Json.Num f) with
+        | Some n -> Float.is_integer f && in_range && Float.of_int n = f
+        | None -> not (Float.is_integer f && in_range)
+      in
+      same && int_ok)
+
+let test_json_non_finite () =
+  List.iter
+    (fun (f, name) ->
+      Alcotest.(check string) (name ^ " prints null") "null"
+        (Json.to_string (Json.Num f));
+      Alcotest.(check bool) (name ^ " parses back") true
+        (Json.parse (Json.to_string (Json.Num f)) = Ok Json.Null))
+    [ (nan, "nan"); (infinity, "inf"); (neg_infinity, "-inf") ];
+  Alcotest.(check (option int)) "1e300 is no int" None
+    (Json.to_int (Json.Num 1e300));
+  Alcotest.(check (option int)) "2^62 is no int" None
+    (Json.to_int (Json.Num 0x1p62));
+  Alcotest.(check (option int)) "min_int is an int" (Some min_int)
+    (Json.to_int (Json.Num (Float.of_int min_int)));
+  Alcotest.(check (option int)) "42" (Some 42) (Json.to_int (Json.Num 42.))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -184,4 +246,7 @@ let suite =
     Alcotest.test_case "pool: exception propagates, pool survives" `Quick
       test_pool_exception_propagates;
     Alcotest.test_case "pool: sizing" `Quick test_pool_sizes;
+    Alcotest.test_case "json non-finite and huge numbers" `Quick
+      test_json_non_finite;
+    QCheck_alcotest.to_alcotest prop_json_numbers;
   ]

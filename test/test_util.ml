@@ -15,3 +15,11 @@ let record_stream ?policy ~init ~budget prog =
   init p.Sdiq_cpu.Pipeline.exec;
   ignore (Sdiq_cpu.Pipeline.run ~max_insns:budget p : Sdiq_cpu.Stats.t);
   Array.of_list (List.rev !evs)
+
+(* Run one of the split test executables (see test_main.ml). Alcotest
+   shortens a test's printed name to fit beside the longest group name
+   of its run, so each executable also registers an empty group as long
+   as the longest group name of them all ("certificate"): a test prints
+   the same name whichever executable runs it. *)
+let run_split name groups =
+  Alcotest.run name (groups @ [ (String.make 11 '_', []) ])
