@@ -29,10 +29,10 @@ let figure1 () =
   let _f = Sdiq_cpu.Iq.dispatch q ~rob_idx:5 ~ops:[ (11, false); (13, false) ] in
   Sdiq_cpu.Iq.issue q 0;
   Sdiq_cpu.Iq.issue q 1;
-  ignore (Sdiq_cpu.Iq.broadcast_many q [ 10; 11 ]);
+  ignore (Sdiq_cpu.Iq.broadcast_into q [| 10; 11 |] 2);
   Sdiq_cpu.Iq.issue q sc;
   Sdiq_cpu.Iq.issue q sd;
-  ignore (Sdiq_cpu.Iq.broadcast_many q [ 12; 13 ]);
+  ignore (Sdiq_cpu.Iq.broadcast_into q [| 12; 13 |] 2);
   Fmt.pr "baseline queue: %d wakeups (paper: 18)@." q.Sdiq_cpu.Iq.wakeups_gated;
   (* Limited to 2 entries: c,d dispatch only after a,b issue; e,f after
      c,d. f's b-operand is ready by the time f dispatches. *)
@@ -43,12 +43,12 @@ let figure1 () =
   Sdiq_cpu.Iq.issue q sb;
   let sc = Sdiq_cpu.Iq.dispatch q ~rob_idx:2 ~ops:[ (10, false) ] in
   let sd = Sdiq_cpu.Iq.dispatch q ~rob_idx:3 ~ops:[ (11, false) ] in
-  ignore (Sdiq_cpu.Iq.broadcast_many q [ 10; 11 ]);
+  ignore (Sdiq_cpu.Iq.broadcast_into q [| 10; 11 |] 2);
   Sdiq_cpu.Iq.issue q sc;
   Sdiq_cpu.Iq.issue q sd;
   ignore (Sdiq_cpu.Iq.dispatch q ~rob_idx:4 ~ops:[ (12, false); (13, false) ]);
   ignore (Sdiq_cpu.Iq.dispatch q ~rob_idx:5 ~ops:[ (11, true); (13, false) ]);
-  ignore (Sdiq_cpu.Iq.broadcast_many q [ 12; 13 ]);
+  ignore (Sdiq_cpu.Iq.broadcast_into q [| 12; 13 |] 2);
   Fmt.pr "limited queue:  %d wakeups (paper: 10)@.@." q.Sdiq_cpu.Iq.wakeups_gated
 
 (* --- Figure 3: pseudo issue queue on a basic block ---------------------- *)

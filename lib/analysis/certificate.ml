@@ -240,13 +240,3 @@ let check (p : Params.t) cfg t (s : Stats.t) : Finding.t list =
            (List.length t.regions) t.occ_bound t.cap s.Stats.iq_wakeups_gated
            wb s.Stats.iq_banks_on_sum bb measured bound);
     ]
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>certificate: cap %d, program bound %d@," t.cap t.occ_bound;
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "  @%04d window %d -> occupancy <= %d%s@," r.start r.window
-        r.occ_bound
-        (if r.saturated then " (saturated)" else ""))
-    t.regions;
-  Fmt.pf ppf "@]"

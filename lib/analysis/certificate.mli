@@ -66,5 +66,3 @@ val check :
   t ->
   Sdiq_cpu.Stats.t ->
   Finding.t list
-
-val pp : Format.formatter -> t -> unit

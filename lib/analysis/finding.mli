@@ -47,8 +47,5 @@ val pp : Format.formatter -> t -> unit
     [extra] key/value pairs are spliced in first (e.g. the benchmark). *)
 val to_json : ?extra:(string * string) list -> t -> string
 
-(** A JSON array of findings, one per line. *)
-val list_to_json : ?extra:(string * string) list -> t list -> string
-
 (** One line: "E errors, W warnings, I infos". *)
 val pp_summary : Format.formatter -> t list -> unit

@@ -41,8 +41,3 @@ val service_estimate : Sdiq_cpu.Config.t -> Sdiq_cpu.Stats.t -> float
 
 (** The model evaluated on one run's statistics. *)
 val predict : Sdiq_cpu.Config.t -> Sdiq_cpu.Stats.t -> t
-
-(** [|occupancy - measured| / measured]; [infinity] on an empty run. *)
-val relative_error : t -> Sdiq_cpu.Stats.t -> float
-
-val pp : Format.formatter -> t -> unit

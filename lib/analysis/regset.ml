@@ -44,7 +44,6 @@ let popcount x =
 
 let int_card t = popcount t.ints
 let fp_card t = popcount t.fps
-let cardinal t = int_card t + fp_card t
 
 let elements t =
   let file n mask make =
@@ -55,6 +54,3 @@ let elements t =
   file Reg.num_int t.ints Reg.int @ file Reg.num_fp t.fps Reg.fp
 
 let of_list rs = List.fold_left (fun acc r -> add r acc) empty rs
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Reg.pp) (elements t)

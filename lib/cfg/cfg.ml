@@ -135,11 +135,3 @@ let reverse_postorder t =
     List.filter (fun id -> not visited.(id)) (List.init nb (fun i -> i))
   in
   reached @ unreached
-
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Fmt.pf ppf "B%d [%d..%d] -> %a@." b.id b.first b.last
-        Fmt.(list ~sep:comma int)
-        (List.sort compare t.succs.(b.id)))
-    t.blocks

@@ -6,6 +6,3 @@ val compute : Cfg.t -> t
 
 (** [dominates t d b]: does block [d] dominate block [b]? *)
 val dominates : t -> int -> int -> bool
-
-(** All dominators of a block, in id order. *)
-val dominators : t -> int -> int list

@@ -96,16 +96,3 @@ let blocks t = function
         compare (t.cfg.Cfg.blocks.(a)).Cfg.first
           (t.cfg.Cfg.blocks.(b)).Cfg.first)
       ids
-
-let pp ppf t =
-  List.iter
-    (fun r ->
-      match r with
-      | Dag bs ->
-        Fmt.pf ppf "DAG {%a}@." Fmt.(list ~sep:comma int) bs
-      | Loop l ->
-        Fmt.pf ppf "LOOP header=B%d depth=%d own={%a}@." l.Loops.header
-          l.Loops.depth
-          Fmt.(list ~sep:comma int)
-          (Loops.Iset.elements l.Loops.own))
-    t.regions

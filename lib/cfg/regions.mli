@@ -17,5 +17,3 @@ val decompose : Cfg.t -> t
 (** Blocks of a region in forward order; for a loop region, its [own]
     blocks only (nested loops are their own regions). *)
 val blocks : t -> region -> int list
-
-val pp : Format.formatter -> t -> unit

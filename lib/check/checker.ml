@@ -46,7 +46,6 @@ let () =
 
 type t = {
   mutable cycles_checked : int;
-  mutable checks_run : int;
   (* previous per-cycle integrals, to verify this cycle's increments *)
   mutable prev_iq_banks_on_sum : int;
   mutable prev_int_rf_banks_on_sum : int;
@@ -70,7 +69,6 @@ type t = {
 let create () =
   {
     cycles_checked = 0;
-    checks_run = 0;
     prev_iq_banks_on_sum = 0;
     prev_int_rf_banks_on_sum = 0;
     prev_fp_rf_banks_on_sum = 0;
@@ -88,7 +86,6 @@ let create () =
   }
 
 let cycles_checked c = c.cycles_checked
-let checks_run c = c.checks_run
 
 let fail p ~invariant fmt =
   Printf.ksprintf
@@ -96,7 +93,7 @@ let fail p ~invariant fmt =
       raise
         (Invariant_violation
            {
-             cycle = Pipeline.Debug.cycle p;
+             cycle = p.Pipeline.cycle;
              invariant;
              detail;
              excerpt = Pipeline.Debug.excerpt p;
@@ -105,8 +102,8 @@ let fail p ~invariant fmt =
 
 (* --- issue-queue structure --------------------------------------------- *)
 
-let check_iq c p =
-  let iq = Pipeline.Debug.iq p in
+let check_iq p =
+  let iq = p.Pipeline.iq in
   let active = iq.Iq.active_size in
   (* Gated-off banks (beyond the adaptive scheme's active ring) must hold
      nothing — they are powered down. *)
@@ -142,14 +139,13 @@ let check_iq c p =
   then
     fail p ~invariant:"iq-span"
       "new_span=%d disagrees with new_head=%d tail=%d (active=%d)" span
-      iq.Iq.new_head iq.Iq.tail active;
-  c.checks_run <- c.checks_run + 5
+      iq.Iq.new_head iq.Iq.tail active
 
 (* --- the paper's dispatch limit ---------------------------------------- *)
 
-let check_dispatch_window c p =
-  let iq = Pipeline.Debug.iq p in
-  match Pipeline.Debug.policy p with
+let check_dispatch_window p =
+  let iq = p.Pipeline.iq in
+  match p.Pipeline.policy with
   | Policy.Software s ->
     (* Section 3.2: at most max_new_range slots (holes included) between
        new_head and tail, itself capped at size - 1 so the region can
@@ -159,8 +155,7 @@ let check_dispatch_window c p =
       fail p ~invariant:"iq-dispatch-window"
         "region spans %d slots, exceeding the compiler's max_new_range %d \
          (cap %d)"
-        (Iq.new_region_span iq) s.Policy.max_new_range cap;
-    c.checks_run <- c.checks_run + 1
+        (Iq.new_region_span iq) s.Policy.max_new_range cap
   | Policy.Unlimited | Policy.Abella _ -> ()
 
 (* --- per-cycle power integrals ----------------------------------------- *)
@@ -180,10 +175,10 @@ let count_rf_banks_on (rf : Regfile.t) =
   !on
 
 let check_power_integrals c p =
-  let stats = Pipeline.Debug.stats p in
-  let iq = Pipeline.Debug.iq p in
-  let int_rf = Pipeline.Debug.int_rf p in
-  let fp_rf = Pipeline.Debug.fp_rf p in
+  let stats = p.Pipeline.stats in
+  let iq = p.Pipeline.iq in
+  let int_rf = p.Pipeline.int_rf in
+  let fp_rf = p.Pipeline.fp_rf in
   (* Each per-cycle sum must have grown by exactly the value a recount of
      the live state yields — the power model integrates these. *)
   (* Recount from the raw valid bytes, not the incremental [bank_live]
@@ -215,13 +210,12 @@ let check_power_integrals c p =
   c.prev_iq_banks_on_sum <- stats.Stats.iq_banks_on_sum;
   c.prev_int_rf_banks_on_sum <- stats.Stats.int_rf_banks_on_sum;
   c.prev_fp_rf_banks_on_sum <- stats.Stats.fp_rf_banks_on_sum;
-  c.prev_int_rf_live_sum <- stats.Stats.int_rf_live_sum;
-  c.checks_run <- c.checks_run + 4
+  c.prev_int_rf_live_sum <- stats.Stats.int_rf_live_sum
 
 (* --- reorder buffer ----------------------------------------------------- *)
 
 let check_rob c p =
-  let rob = Pipeline.Debug.rob p in
+  let rob = p.Pipeline.rob in
   (* Program order head→tail: strictly increasing sequence numbers, and
      the oldest in-flight instruction only ever moves forward (commits
      happen at the head, in order, or not at all). *)
@@ -244,8 +238,7 @@ let check_rob c p =
         "oldest in-flight sn went backwards: %d after %d" !oldest
         c.prev_oldest_sn;
     c.prev_oldest_sn <- !oldest
-  end;
-  c.checks_run <- c.checks_run + 2
+  end
 
 (* --- physical register conservation ------------------------------------ *)
 
@@ -253,8 +246,8 @@ let check_rob c p =
    as the current mapping of an architectural register, or as the previous
    mapping held by one in-flight ROB entry for release at commit. Anything
    else is a leak (never freed) or a double mapping (freed twice). *)
-let check_rf_conservation c p =
-  let rob = Pipeline.Debug.rob p in
+let check_rf_conservation p =
+  let rob = p.Pipeline.rob in
   let audit ~name (rf : Regfile.t) map select =
     let owner = Array.make rf.Regfile.size (-2) in
     (* owner codes: -2 unclaimed, arch index >= 0, ROB entry as -(3+idx) *)
@@ -297,11 +290,10 @@ let check_rf_conservation c p =
         "%s file free_count says %d but the free list holds %d" name
         rf.Regfile.free_count free
   in
-  audit ~name:"int" (Pipeline.Debug.int_rf p) (Pipeline.Debug.int_map p)
+  audit ~name:"int" p.Pipeline.int_rf (Pipeline.Debug.int_map p)
     (function Rob.Int_dest q -> Some q | Rob.No_dest | Rob.Fp_dest _ -> None);
-  audit ~name:"fp" (Pipeline.Debug.fp_rf p) (Pipeline.Debug.fp_map p)
-    (function Rob.Fp_dest q -> Some q | Rob.No_dest | Rob.Int_dest _ -> None);
-  c.checks_run <- c.checks_run + 4
+  audit ~name:"fp" p.Pipeline.fp_rf (Pipeline.Debug.fp_map p)
+    (function Rob.Fp_dest q -> Some q | Rob.No_dest | Rob.Int_dest _ -> None)
 
 (* --- speculation: wrong-path confinement and squash completeness -------- *)
 
@@ -312,10 +304,10 @@ let check_rf_conservation c p =
    predicate "younger than the blocked branch": the squash walk stops at
    the first non-wp tail entry, so a mismarked entry either survives the
    squash or takes a correct-path instruction with it. *)
-let check_speculation c p =
-  let rob = Pipeline.Debug.rob p in
-  let wp_mode = Pipeline.Debug.wp_mode p in
-  let blocked = Pipeline.Debug.blocked_sn p in
+let check_speculation p =
+  let rob = p.Pipeline.rob in
+  let wp_mode = p.Pipeline.wp_mode in
+  let blocked = p.Pipeline.blocked_sn in
   Rob.iter_in_flight rob (fun idx ->
       let wp = Rob.is_wp rob idx in
       if not wp_mode then begin
@@ -331,8 +323,7 @@ let check_speculation c p =
           fail p ~invariant:"wp-marking"
             "ROB entry %d has sn %d against blocked_sn %d but wp=%b" idx sn
             blocked wp
-      end);
-  c.checks_run <- c.checks_run + 1
+      end)
 
 (* --- IQ/ROB linkage ------------------------------------------------------ *)
 
@@ -342,9 +333,9 @@ let check_speculation c p =
    forgets to free an IQ slot (the entry's ROB line is popped, the CAM
    entry stays live) shows up here as a slot pointing at a dead entry —
    in hardware it would wake, issue, and write back a ghost. *)
-let check_iq_rob_linkage c p =
-  let iq = Pipeline.Debug.iq p in
-  let rob = Pipeline.Debug.rob p in
+let check_iq_rob_linkage p =
+  let iq = p.Pipeline.iq in
+  let rob = p.Pipeline.rob in
   for s = 0 to iq.Iq.active_size - 1 do
     if Iq.slot_valid iq s then begin
       let idx = Iq.slot_rob_idx iq s in
@@ -367,8 +358,7 @@ let check_iq_rob_linkage c p =
           fail p ~invariant:"iq-rob-linkage"
             "dispatched ROB entry %d does not own a live IQ slot (slot %d)"
             idx s
-      end);
-  c.checks_run <- c.checks_run + 2
+      end)
 
 (* --- load/store queue ---------------------------------------------------- *)
 
@@ -379,9 +369,9 @@ let check_iq_rob_linkage c p =
    entry and back, the kind and wp flags agree with the ROB, and the
    entry count matches both the queue's own field and the number of
    in-flight ROB entries holding LSQ slots. *)
-let check_lsq c p =
-  let lsq = Pipeline.Debug.lsq p in
-  let rob = Pipeline.Debug.rob p in
+let check_lsq p =
+  let lsq = p.Pipeline.lsq in
+  let rob = p.Pipeline.rob in
   let n = ref 0 in
   let prev_sn = ref (-1) in
   Lsq.iter_oldest_first lsq (fun slot rob_idx ->
@@ -419,8 +409,7 @@ let check_lsq c p =
   if !mem <> Lsq.count lsq then
     fail p ~invariant:"lsq-count"
       "%d in-flight ROB entries hold LSQ slots but the queue counts %d" !mem
-      (Lsq.count lsq);
-  c.checks_run <- c.checks_run + 5
+      (Lsq.count lsq)
 
 (* --- wakeup accounting -------------------------------------------------- *)
 
@@ -451,8 +440,8 @@ let operand_exposure (iq : Iq.t) =
    from a non-load-fed one — is precisely what [Iq.Raw.set_pred]
    sabotage does, and it must be caught here before the energy books
    credit a suppression the hardware could not have justified. *)
-let check_pred_soundness c p ~suppressing =
-  let iq = Pipeline.Debug.iq p in
+let check_pred_soundness p ~suppressing =
+  let iq = p.Pipeline.iq in
   for s = 0 to iq.Iq.size - 1 do
     if Iq.slot_valid iq s then
       for j = 0 to 1 do
@@ -482,14 +471,11 @@ let check_pred_soundness c p ~suppressing =
           end
         end
       done
-  done;
-  c.checks_run <- c.checks_run + 1
+  done
 
 let check_wakeups c p =
-  let iq = Pipeline.Debug.iq p in
-  let suppressing =
-    Sched.suppresses_predicted (Pipeline.Debug.sched p)
-  in
+  let iq = p.Pipeline.iq in
+  let suppressing = Sched.suppresses_predicted p.Pipeline.sched in
   (* Nothing touches the queue between the end of the previous cycle and
      this cycle's writeback broadcast, so the exposure recorded then is
      the snapshot the CAM ports compared against now. *)
@@ -534,7 +520,7 @@ let check_wakeups c p =
   c.prev_nonempty <- iq.Iq.wakeups_nonempty;
   c.prev_gated <- iq.Iq.wakeups_gated;
   c.prev_suppressed <- iq.Iq.wakeups_suppressed;
-  check_pred_soundness c p ~suppressing;
+  check_pred_soundness p ~suppressing;
   let present, waiting, pred_waiting = operand_exposure iq in
   (* The queue prices the next broadcast from its incremental counters;
      they must equal the recount the expectations above are built on. *)
@@ -550,8 +536,7 @@ let check_wakeups c p =
       waiting pred_waiting;
   c.prev_present_ops <- present;
   c.prev_waiting_ops <- waiting;
-  c.prev_pred_waiting_ops <- pred_waiting;
-  c.checks_run <- c.checks_run + 5
+  c.prev_pred_waiting_ops <- pred_waiting
 
 (* --- event-driven select and wakeup structures --------------------------- *)
 
@@ -562,8 +547,8 @@ let check_wakeups c p =
    allowed — a broadcast re-checks them). A slot missing from the ready
    list would never issue; an operand missing from its list would never
    wake. *)
-let check_ready_and_waiters c p =
-  let iq = Pipeline.Debug.iq p in
+let check_ready_and_waiters p =
+  let iq = p.Pipeline.iq in
   let expected = ref 0 in
   for s = 0 to iq.Iq.size - 1 do
     if Iq.slot_ready iq s then begin
@@ -601,8 +586,7 @@ let check_ready_and_waiters c p =
               s j tag
         end
       done
-  done;
-  c.checks_run <- c.checks_run + 2
+  done
 
 (* --- select-scan accounting ---------------------------------------------- *)
 
@@ -613,17 +597,16 @@ let check_ready_and_waiters c p =
    after issue), so the bound is evaluated at full size — tight enough
    to catch a runaway sweep, immune to end-of-cycle resizes. *)
 let check_scan c p =
-  let stats = Pipeline.Debug.stats p in
-  let iq = Pipeline.Debug.iq p in
+  let stats = p.Pipeline.stats in
+  let iq = p.Pipeline.iq in
   let d_scan = stats.Stats.iq_scan_entries - c.prev_scan_entries in
-  let bound = Sched.scan_bound (Pipeline.Debug.sched p) ~active:(Iq.size iq) in
+  let bound = Sched.scan_bound p.Pipeline.sched ~active:(Iq.size iq) in
   if d_scan < 0 || d_scan > bound then
     fail p ~invariant:"iq-scan-bound"
       "select scan examined %d slots this cycle; the policy admits at most \
        %d"
       d_scan bound;
-  c.prev_scan_entries <- stats.Stats.iq_scan_entries;
-  c.checks_run <- c.checks_run + 1
+  c.prev_scan_entries <- stats.Stats.iq_scan_entries
 
 (* --- entry point -------------------------------------------------------- *)
 
@@ -631,16 +614,16 @@ let check c p =
   (* Linkage first: a squash leak shows up as a stale slot pointing at a
      dead ROB entry, which can also strand [head]; auditing linkage
      before IQ structure makes the diagnosis name the root cause. *)
-  check_iq_rob_linkage c p;
-  check_iq c p;
-  check_dispatch_window c p;
+  check_iq_rob_linkage p;
+  check_iq p;
+  check_dispatch_window p;
   check_power_integrals c p;
   check_rob c p;
-  check_rf_conservation c p;
-  check_speculation c p;
-  check_lsq c p;
+  check_rf_conservation p;
+  check_speculation p;
+  check_lsq p;
   check_wakeups c p;
-  check_ready_and_waiters c p;
+  check_ready_and_waiters p;
   check_scan c p;
   c.cycles_checked <- c.cycles_checked + 1
 

@@ -27,10 +27,6 @@ type t = {
   ras : int array;
   ras_size : int;
   mutable ras_top : int; (* number of valid entries *)
-  (* statistics *)
-  mutable lookups : int;
-  mutable dir_correct : int;
-  mutable dir_wrong : int;
 }
 
 let pow2_mask n = if n > 0 && n land (n - 1) = 0 then n - 1 else -1
@@ -55,9 +51,6 @@ let create (cfg : Config.t) =
     ras = Array.make cfg.Config.ras_size 0;
     ras_size = cfg.Config.ras_size;
     ras_top = 0;
-    lookups = 0;
-    dir_correct = 0;
-    dir_wrong = 0;
   }
 
 (* pcs are program indices (≥ 0), so masking is exactly [mod] for
@@ -79,7 +72,6 @@ let counter_taken c = c >= 2
 
 (* Predict the direction of the conditional branch at [pc]. *)
 let predict_direction t pc =
-  t.lookups <- t.lookups + 1;
   let b = counter_taken t.bimodal.(bimodal_idx t pc) in
   let g = counter_taken t.gshare.(gshare_idx t pc) in
   if counter_taken t.selector.(selector_idx t pc) then g else b
@@ -95,9 +87,6 @@ let update_direction t pc ~taken =
   let b_ok = counter_taken t.bimodal.(bi) = taken in
   let g_ok = counter_taken t.gshare.(gi) = taken in
   let si = selector_idx t pc in
-  let was_correct = if counter_taken t.selector.(si) then g_ok else b_ok in
-  if was_correct then t.dir_correct <- t.dir_correct + 1
-  else t.dir_wrong <- t.dir_wrong + 1;
   (* Selector trains toward the correct component when they disagree. *)
   if b_ok <> g_ok then bump t.selector si g_ok;
   bump t.bimodal bi taken;
@@ -175,9 +164,7 @@ let ras_pop_addr t =
    calls and returns push and pop the real stack (their predictions must
    see the speculative top), and the squash rewinds it to the snapshot
    taken when the mispredict was detected. The caller owns the buffer
-   ([ras_depth] entries) so episodes allocate nothing. *)
-let ras_depth t = t.ras_size
-
+   ([ras_size] entries) so episodes allocate nothing. *)
 let ras_save t buf =
   Array.blit t.ras 0 buf 0 t.ras_size;
   t.ras_top
@@ -185,7 +172,3 @@ let ras_save t buf =
 let ras_restore t buf top =
   Array.blit buf 0 t.ras 0 t.ras_size;
   t.ras_top <- top
-
-let mispredict_rate t =
-  let total = t.dir_correct + t.dir_wrong in
-  if total = 0 then 0. else float_of_int t.dir_wrong /. float_of_int total

@@ -121,7 +121,3 @@ let access t addr =
 
 let contents t =
   Array.init (t.sets * t.ways) (fun i -> (t.tags.(i), t.last_use.(i)))
-
-let miss_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.misses /. float_of_int total

@@ -26,8 +26,6 @@ val set_fill : t -> int -> int -> unit
 (** Untimed access: true on a settled hit; misses install instantly. *)
 val access : t -> int -> bool
 
-val miss_rate : t -> float
-
 (** The (line tag, LRU stamp) of every way, set-major; tag [-1] when
     the way is empty. *)
 val contents : t -> (int * int) array

@@ -431,9 +431,9 @@ let squash_slot t slot =
    The snapshot is the three operand counters, so pricing costs O(1);
    the wakeups themselves walk only the broadcast tags' waiter lists.
 
-   [broadcast_into] is the scratch-array core: the first [ntags] elements
-   of [tags] are the broadcast group (the pipeline reuses one array across
-   cycles, so the hot path allocates nothing). *)
+   The first [ntags] elements of [tags] are the broadcast group (the
+   pipeline reuses one array across cycles, so the hot path allocates
+   nothing). *)
 let broadcast_into t tags ntags =
   if ntags = 0 then 0
   else begin
@@ -481,10 +481,6 @@ let broadcast_into t tags ntags =
     done;
     !matched
   end
-
-let broadcast_many t tags = broadcast_into t (Array.of_list tags) (List.length tags)
-
-let broadcast t tag = broadcast_many t [ tag ]
 
 (* Fold over valid entries from oldest (head) to youngest (tail), the order
    the select logic prefers. The callback receives the slot index; use the

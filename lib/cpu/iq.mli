@@ -133,16 +133,11 @@ val occupied_extent : t -> int
     rewinds [tail]/[head]/[new_head] once for the whole suffix. *)
 val squash_slot : t -> int -> unit
 
-(** Broadcast all result tags completing this cycle against one snapshot
-    (as parallel CAM ports do); returns how many operands woke. *)
-val broadcast_many : t -> int list -> int
-
-(** Scratch-array broadcast core: the first [ntags] elements are the
-    group. The caller may reuse the array across cycles — nothing is
-    retained. *)
+(** Broadcast the result tags completing this cycle against one
+    snapshot (as parallel CAM ports do); returns how many operands woke.
+    The first [ntags] elements of the array are the group. The caller
+    may reuse the array across cycles — nothing is retained. *)
 val broadcast_into : t -> int array -> int -> int
-
-val broadcast : t -> int -> int
 
 (** Fold over valid entries oldest-first (select order); the callback
     receives the slot index. *)

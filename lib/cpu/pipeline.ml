@@ -1781,34 +1781,19 @@ let simulate ?config ?policy ?sched ?init ?max_insns ?max_cycles prog =
   (match init with Some f -> f t.exec | None -> ());
   run ?max_insns ?max_cycles t
 
-(* --- read-only view ----------------------------------------------------- *)
+(* --- observer support ---------------------------------------------------- *)
 
-(* A stable accessor surface for observers (the invariant checker, tests):
-   everything needed to audit the machine without reaching into record
-   fields, and nothing that mutates it. *)
+(* What an observer (the invariant checker, tests) cannot get by reading a
+   record field: derived views, copies of the rename maps, a state excerpt,
+   and the squash-leak sabotage switch. *)
 module Debug = struct
   let cfg t = t.cfg
-  let policy t = t.policy
-  let sched t = t.sched
 
   (* Whether physical tag [tag]'s current producer is a load. *)
   let tag_is_load t tag = Bytes.get t.tag_is_load tag <> '\000'
-  let iq t = t.iq
-  let rob t = t.rob
-  let int_rf t = t.int_rf
-  let fp_rf t = t.fp_rf
   let int_map t = Array.copy t.int_map
   let fp_map t = Array.copy t.fp_map
-  let cycle t = t.cycle
-  let halted t = t.halted
-  let exec t = t.exec
-  let stats t = t.stats
-  let bus t = t.bus
-  let lsq t = t.lsq
-  let itlb t = t.itlb
-  let dtlb t = t.dtlb
   let wp_mode t = t.wp_mode
-  let blocked_sn t = t.blocked_sn
 
   (* Test-only sabotage: the next squash leaves its first wrong-path IQ
      entry live (rename and ROB still rolled back) — the stale-entry leak

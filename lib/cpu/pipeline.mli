@@ -204,13 +204,13 @@ val simulate :
   Sdiq_isa.Prog.t ->
   Stats.t
 
-(** Read-only view of the machine for observers (invariant checkers,
-    tests): stable accessors instead of record plumbing, and nothing
-    that mutates the pipeline. *)
+(** Observer support for invariant checkers and tests. Fields are read
+    straight off the public record; this module holds what a field read
+    does not give: derived views, copies of the rename maps, a state
+    excerpt, and the one test-only mutator. [cfg] and [wp_mode] stay
+    for the repository benchmark's callers. *)
 module Debug : sig
   val cfg : t -> Config.t
-  val policy : t -> Policy.t
-  val sched : t -> Sched.t
 
   (** Whether physical tag [tag]'s current producer is a load. Only
       maintained under a policy with [Sched.suppresses_predicted] (the
@@ -218,25 +218,11 @@ module Debug : sig
       [oldest_first] and [nskip]. *)
   val tag_is_load : t -> int -> bool
 
-  val iq : t -> Iq.t
-  val rob : t -> Rob.t
-  val int_rf : t -> Regfile.t
-  val fp_rf : t -> Regfile.t
-
   (** Current architectural→physical mappings (fresh copies). *)
   val int_map : t -> int array
 
   val fp_map : t -> int array
-  val cycle : t -> int
-  val halted : t -> bool
-  val exec : t -> Sdiq_isa.Exec.state
-  val stats : t -> Stats.t
-  val bus : t -> Sdiq_events.Bus.t
-  val lsq : t -> Lsq.t
-  val itlb : t -> Tlb.t
-  val dtlb : t -> Tlb.t
   val wp_mode : t -> bool
-  val blocked_sn : t -> int
 
   (** Test-only sabotage: make the next squash leave its first
       wrong-path IQ entry live (ROB and rename still rolled back), the

@@ -37,8 +37,6 @@ let edges t = t.edges
 
 let preds t n = t.preds.(n)
 
-let succs t n = List.filter (fun e -> e.src = n) t.edges
-
 let make instrs edges =
   let n = Array.length instrs in
   let preds = Array.make n [] in
@@ -122,18 +120,6 @@ let build ?(carried = false) ?(latency = Instr.latency)
       last_writer;
   make instrs (List.rev !edges)
 
-(* DDG of one basic block. *)
-let of_block ?latency (cfg : Sdiq_cfg.Cfg.t) (b : Sdiq_cfg.Cfg.block) : t =
-  build ~carried:false ?latency (Array.of_list (Sdiq_cfg.Cfg.instrs cfg b))
-
 (* DDG of a loop body given as a flat instruction sequence (blocks of the
    loop region concatenated in program order), with carried edges. *)
 let of_loop_body ?latency instrs = build ~carried:true ?latency instrs
-
-let pp ppf t =
-  Array.iteri (fun i ins -> Fmt.pf ppf "%2d: %a@." i Instr.pp ins) t.instrs;
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "  %d -> %d (lat %d, dist %d)@." e.src e.dst e.latency
-        e.distance)
-    t.edges

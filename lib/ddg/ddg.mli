@@ -25,7 +25,6 @@ type t = {
 val num_nodes : t -> int
 val edges : t -> edge list
 val preds : t -> int -> (int * int * int) list
-val succs : t -> int -> edge list
 
 (** Assemble a graph from explicit edges; raises [Invalid_argument] on
     out-of-range endpoints. *)
@@ -40,16 +39,7 @@ val build :
   Sdiq_isa.Instr.t array ->
   t
 
-(** DDG of one basic block. *)
-val of_block :
-  ?latency:(Sdiq_isa.Instr.t -> int) ->
-  Sdiq_cfg.Cfg.t ->
-  Sdiq_cfg.Cfg.block ->
-  t
-
 (** DDG of a loop body (blocks concatenated in program order), with
     carried edges. *)
 val of_loop_body :
   ?latency:(Sdiq_isa.Instr.t -> int) -> Sdiq_isa.Instr.t array -> t
-
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ let sink (c : t) ev =
 
 let get (c : t) i = c.(i)
 let total (c : t) = Array.fold_left ( + ) 0 c
-let equal (a : t) (b : t) = a = b
 
 (* One line, every kind in index order — byte-comparable across runs. *)
 let to_string (c : t) =

@@ -12,7 +12,6 @@ val sink : t -> Event.t -> unit
 val get : t -> int -> int
 
 val total : t -> int
-val equal : t -> t -> bool
 
 (** One line, every kind in index order: ["fetch=12 annotation=0 ..."]. *)
 val to_string : t -> string

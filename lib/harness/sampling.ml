@@ -37,8 +37,6 @@ type config = {
 
 let default = { ff_len = 46_000; warmup_len = 2_000; window_len = 2_000 }
 
-let period c = c.ff_len + c.warmup_len + c.window_len
-
 type estimate = {
   mean : float;
   ci_half : float;

@@ -18,9 +18,6 @@ type config = {
 (** 46k / 2k / 2k: 8% of the stream detailed, 4% measured. *)
 val default : config
 
-(** [ff_len + warmup_len + window_len]. *)
-val period : config -> int
-
 type estimate = {
   mean : float;     (** combined ratio estimate, Σx / Σy *)
   ci_half : float;  (** 95% CI half-width, conservative floor applied *)

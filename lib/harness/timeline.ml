@@ -65,12 +65,3 @@ let to_csv t =
            (min s.policy_limit 9999) s.rf_live))
     t.samples;
   Buffer.contents buf
-
-let pp ppf t =
-  Fmt.pf ppf "%8s %9s %7s %7s %8s %7s@." "cycle" "committed" "occ" "banks"
-    "limit" "rf";
-  List.iter
-    (fun s ->
-      Fmt.pf ppf "%8d %9d %7d %7d %8d %7d@." s.cycle s.committed
-        s.iq_occupancy s.iq_banks_on (min s.policy_limit 9999) s.rf_live)
-    t.samples

@@ -28,5 +28,3 @@ val record :
 
 (** Header row plus one line per sample. *)
 val to_csv : t -> string
-
-val pp : Format.formatter -> t -> unit

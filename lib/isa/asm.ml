@@ -77,7 +77,6 @@ let sne = rrr Opcode.Sne
 let mul = rrr Opcode.Mul
 let div = rrr Opcode.Div
 let fadd = rrr Opcode.Fadd
-let fsub = rrr Opcode.Fsub
 let fmul = rrr Opcode.Fmul
 let fdiv = rrr Opcode.Fdiv
 
@@ -86,7 +85,6 @@ let rri op p dst src1 imm = emit p ~dst ~src1 ~imm op
 let addi = rri Opcode.Addi
 let andi = rri Opcode.Andi
 let ori = rri Opcode.Ori
-let xori = rri Opcode.Xori
 let shli = rri Opcode.Shli
 let shri = rri Opcode.Shri
 let slti = rri Opcode.Slti
@@ -98,13 +96,11 @@ let li p dst imm = emit p ~dst ~imm Opcode.Li
 let fli p dst x = emit p ~dst ~imm:(int_of_float (x *. 1000.)) Opcode.Fli
 
 let mov p dst src1 = emit p ~dst ~src1 Opcode.Mov
-let fmov p dst src1 = emit p ~dst ~src1 Opcode.Fmov
 let itof p dst src1 = emit p ~dst ~src1 Opcode.Itof
 let ftoi p dst src1 = emit p ~dst ~src1 Opcode.Ftoi
 
 let load p dst base imm = emit p ~dst ~src1:base ~imm Opcode.Load
 let store p base value imm = emit p ~src1:base ~src2:value ~imm Opcode.Store
-let fload p dst base imm = emit p ~dst ~src1:base ~imm Opcode.Fload
 let fstore p base value imm = emit p ~src1:base ~src2:value ~imm Opcode.Fstore
 
 (* Conditional branches compare src1 against src2 and jump to a local label *)

@@ -56,7 +56,6 @@ val sne : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val mul : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val div : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val fadd : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
-val fsub : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val fmul : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val fdiv : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 
@@ -65,7 +64,6 @@ val fdiv : proc_buf -> Reg.t -> Reg.t -> Reg.t -> unit
 val addi : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val andi : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val ori : proc_buf -> Reg.t -> Reg.t -> int -> unit
-val xori : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val shli : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val shri : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val slti : proc_buf -> Reg.t -> Reg.t -> int -> unit
@@ -76,7 +74,6 @@ val li : proc_buf -> Reg.t -> int -> unit
 val fli : proc_buf -> Reg.t -> float -> unit
 
 val mov : proc_buf -> Reg.t -> Reg.t -> unit
-val fmov : proc_buf -> Reg.t -> Reg.t -> unit
 val itof : proc_buf -> Reg.t -> Reg.t -> unit
 val ftoi : proc_buf -> Reg.t -> Reg.t -> unit
 
@@ -84,7 +81,6 @@ val ftoi : proc_buf -> Reg.t -> Reg.t -> unit
 
 val load : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val store : proc_buf -> Reg.t -> Reg.t -> int -> unit
-val fload : proc_buf -> Reg.t -> Reg.t -> int -> unit
 val fstore : proc_buf -> Reg.t -> Reg.t -> int -> unit
 
 (** {2 Control} — conditional branches compare [src1] against [src2] *)

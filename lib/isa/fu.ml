@@ -32,12 +32,3 @@ let default_count = function
   | Fp_alu -> 4
   | Fp_muldiv -> 2
   | Mem_port -> 2
-
-let name = function
-  | Int_alu -> "int-alu"
-  | Int_mul -> "int-mul"
-  | Fp_alu -> "fp-alu"
-  | Fp_muldiv -> "fp-muldiv"
-  | Mem_port -> "mem-port"
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -40,5 +40,4 @@ val is_control : t -> bool
 val is_load : t -> bool
 val is_store : t -> bool
 val is_mem : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

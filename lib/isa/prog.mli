@@ -28,7 +28,6 @@ val proc_of_addr : t -> int -> proc option
 (** Addresses of a procedure's instructions, in order. *)
 val proc_addrs : proc -> int list
 
-val pp : Format.formatter -> t -> unit
 
 (** Number of instructions satisfying the predicate. *)
 val count_matching : t -> (Instr.t -> bool) -> int

@@ -36,16 +36,12 @@ val sum : t -> int
 val min_value : t -> int
 
 val max_value : t -> int
-val mean : t -> float
 
 (** Bucket occupancies, in bucket order (a copy). *)
 val buckets : t -> int array
 
 (** The bucket a value falls into under [kind]. *)
 val bucket_index : kind -> int -> int
-
-(** Human-readable value range of bucket [i], e.g. ["8-15"] or ["2-3"]. *)
-val bucket_label : kind -> int -> string
 
 (** Pure merge of two same-shaped histograms; raises
     [Invalid_argument] on a shape mismatch. *)
@@ -57,4 +53,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 
 val to_json : t -> string
-val pp : Format.formatter -> t -> unit

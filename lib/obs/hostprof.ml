@@ -112,17 +112,3 @@ let to_metrics t =
   let m = Metrics.create () in
   metrics_into t m;
   m
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>hostprof: %d events over %d cycles" t.events t.cycles;
-  List.iter
-    (fun (k, v) ->
-      Fmt.cut ppf ();
-      Fmt.pf ppf "  %-12s %8.3f ms" k (1000. *. v))
-    (stage_seconds t);
-  List.iter
-    (fun (k, v) ->
-      Fmt.cut ppf ();
-      Fmt.pf ppf "  gc %-15s %12.0f" k v)
-    (gc_report t);
-  Fmt.pf ppf "@]"

@@ -42,4 +42,3 @@ val metrics_into : t -> Metrics.t -> unit
 val to_metrics : t -> Metrics.t
 
 val to_json : t -> string
-val pp : Format.formatter -> t -> unit

@@ -270,5 +270,3 @@ let to_openmetrics t =
     (all_series t);
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-let pp ppf t = Fmt.string ppf (to_string t)

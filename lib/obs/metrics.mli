@@ -81,5 +81,3 @@ val to_json : t -> string
     or a gauge ["x_total"] vs a counter ["x"]): the later family in
     rendering order is disambiguated with [_2], [_3], … *)
 val to_openmetrics : t -> string
-
-val pp : Format.formatter -> t -> unit

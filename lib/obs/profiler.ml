@@ -107,7 +107,7 @@ let sink t ev =
   | _ -> Stats.absorb t.regions.(t.cur).stats ev
 
 let attach ?params ?window map p =
-  let cfg = Pipeline.Debug.cfg p in
+  let cfg = p.Pipeline.cfg in
   let t = create ?params ~cfg ?window map in
   Pipeline.subscribe ~name:"region-profiler" p (sink t);
   t

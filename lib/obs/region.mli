@@ -65,4 +65,3 @@ val of_addr : t -> int -> int
 
 val kind_name : kind -> string
 val delivery_name : delivery -> string
-val pp_info : Format.formatter -> info -> unit

@@ -41,4 +41,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 
 val to_json : t -> string
-val pp : Format.formatter -> t -> unit

@@ -35,6 +35,3 @@ val float : t -> float -> float
 
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-(** Uniformly chosen element. Raises on an empty array. *)
-val choose : t -> 'a array -> 'a

@@ -20,6 +20,3 @@ let make ~name ~description ~build ~init =
   build b;
   let prog = Asm.assemble b ~entry:"main" in
   { name; description; prog; init }
-
-(* Convenience: a workload whose program was built elsewhere. *)
-let of_prog ~name ~description prog ~init = { name; description; prog; init }

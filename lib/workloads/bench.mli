@@ -18,10 +18,3 @@ val make :
   build:(Sdiq_isa.Asm.t -> unit) ->
   init:(Sdiq_isa.Exec.state -> unit) ->
   t
-
-val of_prog :
-  name:string ->
-  description:string ->
-  Sdiq_isa.Prog.t ->
-  init:(Sdiq_isa.Exec.state -> unit) ->
-  t

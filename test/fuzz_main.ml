@@ -300,7 +300,7 @@ let () =
         ~sched prepared
     in
     if sink then Sdiq_cpu.Pipeline.subscribe ~name:"null" p (fun _ -> ());
-    let rob = Sdiq_cpu.Pipeline.Debug.rob p in
+    let rob = p.Sdiq_cpu.Pipeline.rob in
     let width = Sdiq_cpu.Config.default.Sdiq_cpu.Config.commit_width in
     let oldest = Array.make width Sdiq_cpu.Rob.dummy_dyn in
     let commits = ref [] in

@@ -81,13 +81,13 @@ let test_checker_catches_broken_dispatch_limit () =
      let warm = ref 0 in
      while
        !warm < 1_000
-       && Sdiq_cpu.Iq.occupancy (Pipeline.Debug.iq p) = 0
+       && Sdiq_cpu.Iq.occupancy p.Pipeline.iq = 0
      do
        incr warm;
        Pipeline.step_cycle p
      done;
      for _ = 1 to 20 do
-       let iq = Pipeline.Debug.iq p in
+       let iq = p.Pipeline.iq in
        if Sdiq_cpu.Iq.occupancy iq > 0 then begin
          iq.Sdiq_cpu.Iq.tail <- iq.Sdiq_cpu.Iq.new_head;
          iq.Sdiq_cpu.Iq.new_span <- iq.Sdiq_cpu.Iq.active_size
@@ -139,12 +139,12 @@ let test_checker_catches_tampered_iq () =
   ignore (Checker.attach p);
   let warm = ref 0 in
   while
-    !warm < 1_000 && Sdiq_cpu.Iq.occupancy (Pipeline.Debug.iq p) = 0
+    !warm < 1_000 && Sdiq_cpu.Iq.occupancy p.Pipeline.iq = 0
   do
     incr warm;
     Pipeline.step_cycle p
   done;
-  let iq = Pipeline.Debug.iq p in
+  let iq = p.Pipeline.iq in
   Alcotest.(check bool) "queue warmed up" true (Sdiq_cpu.Iq.occupancy iq > 0);
   Alcotest.(check bool) "head slot is live" true
     (Sdiq_cpu.Iq.slot_valid iq iq.Sdiq_cpu.Iq.head);
@@ -183,7 +183,7 @@ let tamper_until_caught ~invariant tamper =
   ignore (Checker.attach p);
   match
     for _ = 1 to 2_000 do
-      tamper (Pipeline.Debug.iq p);
+      tamper p.Pipeline.iq;
       Pipeline.step_cycle p
     done
   with
@@ -236,12 +236,12 @@ let test_violation_report_is_structured () =
   ignore (Checker.attach p);
   let warm = ref 0 in
   while
-    !warm < 1_000 && Sdiq_cpu.Iq.occupancy (Pipeline.Debug.iq p) = 0
+    !warm < 1_000 && Sdiq_cpu.Iq.occupancy p.Pipeline.iq = 0
   do
     incr warm;
     Pipeline.step_cycle p
   done;
-  let iq = Pipeline.Debug.iq p in
+  let iq = p.Pipeline.iq in
   Sdiq_cpu.Iq.Raw.set_valid iq iq.Sdiq_cpu.Iq.head false;
   match Pipeline.step_cycle p with
   | () -> Alcotest.fail "expected a violation"

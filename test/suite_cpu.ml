@@ -210,12 +210,12 @@ let test_iq_fig1_baseline_wakeups () =
   Iq.issue q 0;
   Iq.issue q 1;
   (* a and b complete together: 6 non-ready operands each. *)
-  let woken = Iq.broadcast_many q [ 10; 11 ] in
+  let woken = Iq.broadcast_into q [| 10; 11 |] 2 in
   Alcotest.(check int) "a,b wake 3 operands" 3 woken;
   Alcotest.(check int) "12 comparisons so far" 12 q.Iq.wakeups_gated;
   Iq.issue q sc;
   Iq.issue q sd;
-  let _ = Iq.broadcast_many q [ 12; 13 ] in
+  let _ = Iq.broadcast_into q [| 12; 13 |] 2 in
   Alcotest.(check int) "18 wakeups total, as in the paper" 18
     q.Iq.wakeups_gated
 
@@ -228,14 +228,14 @@ let test_iq_fig1_limited_wakeups () =
   Iq.issue q sb;
   let sc = Iq.dispatch q ~rob_idx:2 ~ops:[ (10, false) ] in
   let sd = Iq.dispatch q ~rob_idx:3 ~ops:[ (11, false) ] in
-  let _ = Iq.broadcast_many q [ 10; 11 ] in
+  let _ = Iq.broadcast_into q [| 10; 11 |] 2 in
   Alcotest.(check int) "a,b cause 2 wakeups each" 4 q.Iq.wakeups_gated;
   Iq.issue q sc;
   Iq.issue q sd;
   (* e, f dispatch; f's r2 operand (from b) is already ready. *)
   ignore (Iq.dispatch q ~rob_idx:4 ~ops:[ (12, false); (13, false) ]);
   ignore (Iq.dispatch q ~rob_idx:5 ~ops:[ (11, true); (13, false) ]);
-  let _ = Iq.broadcast_many q [ 12; 13 ] in
+  let _ = Iq.broadcast_into q [| 12; 13 |] 2 in
   Alcotest.(check int) "10 wakeups total, as in the paper" 10
     q.Iq.wakeups_gated
 
@@ -257,7 +257,7 @@ let test_iq_banks_on () =
 let test_iq_naive_vs_gated () =
   let q = Iq.create ~size:80 ~bank_size:8 in
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[ (5, false) ]);
-  let _ = Iq.broadcast_many q [ 5 ] in
+  let _ = Iq.broadcast_into q [| 5 |] 1 in
   Alcotest.(check int) "gated touches 1" 1 q.Iq.wakeups_gated;
   Alcotest.(check int) "naive touches 160" 160 q.Iq.wakeups_naive
 

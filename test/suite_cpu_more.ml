@@ -268,7 +268,7 @@ let test_iq_three_source_ops_truncated () =
 let test_iq_broadcast_empty_tag_list () =
   let q = Iq.create ~size:8 ~bank_size:2 in
   ignore (Iq.dispatch q ~rob_idx:0 ~ops:[ (5, false) ]);
-  Alcotest.(check int) "no-op broadcast" 0 (Iq.broadcast_many q []);
+  Alcotest.(check int) "no-op broadcast" 0 (Iq.broadcast_into q [||] 0);
   Alcotest.(check int) "no comparisons" 0 q.Iq.wakeups_gated
 
 let test_software_policy_region_pc_dedup () =

@@ -407,8 +407,8 @@ let prop_regfile_freelist_under_resize_squash =
       let prog = build_program desc in
       let policy = Sdiq_cpu.Policy.abella ~window:64 ~min_limit:8 () in
       let p = Sdiq_cpu.Pipeline.create ~policy prog in
-      let int_rf = Sdiq_cpu.Pipeline.Debug.int_rf p in
-      let fp_rf = Sdiq_cpu.Pipeline.Debug.fp_rf p in
+      let int_rf = p.Sdiq_cpu.Pipeline.int_rf in
+      let fp_rf = p.Sdiq_cpu.Pipeline.fp_rf in
       let live0_int = Rf.live_count int_rf in
       let live0_fp = Rf.live_count fp_rf in
       Sdiq_cpu.Pipeline.on_cycle_end p (fun _ ->

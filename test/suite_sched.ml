@@ -107,7 +107,7 @@ let tamper_pred_until_caught ~sched prog =
   let caught = ref None in
   (try
      for _ = 1 to 2_000 do
-       let iq = Pipeline.Debug.iq p in
+       let iq = p.Pipeline.iq in
        (try
           for s = 0 to iq.Iq.size - 1 do
             if Iq.slot_valid iq s then

@@ -1,4 +1,5 @@
-(* Tests for the utility library: RNG determinism and statistics. *)
+(* Tests for the utility library: RNG determinism, the domain pool and
+   the JSON reader and printer. *)
 
 open Sdiq_util
 
@@ -73,38 +74,6 @@ let test_rng_uniformity () =
         true
         (c > n / 20 && c < n / 5))
     buckets
-
-let test_stat_basic () =
-  let s = Stat.create () in
-  Stat.add s 1.;
-  Stat.add s 2.;
-  Stat.add s 3.;
-  Alcotest.(check int) "count" 3 (Stat.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2. (Stat.mean s);
-  Alcotest.(check (float 1e-9)) "sum" 6. (Stat.sum s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stat.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 3. (Stat.max_value s)
-
-let test_stat_empty () =
-  let s = Stat.create () in
-  Alcotest.(check int) "count" 0 (Stat.count s);
-  Alcotest.(check (float 1e-9)) "mean of empty" 0. (Stat.mean s);
-  Alcotest.(check (float 1e-9)) "min of empty" 0. (Stat.min_value s)
-
-let test_stat_reset () =
-  let s = Stat.create () in
-  Stat.add s 5.;
-  Stat.reset s;
-  Alcotest.(check int) "count after reset" 0 (Stat.count s);
-  Stat.add s 7.;
-  Alcotest.(check (float 1e-9)) "mean after reset" 7. (Stat.mean s)
-
-let test_pct_reduction () =
-  Alcotest.(check (float 1e-9)) "50%" 50. (Stat.pct_reduction ~base:10. 5.);
-  Alcotest.(check (float 1e-9)) "0%" 0. (Stat.pct_reduction ~base:10. 10.);
-  Alcotest.(check (float 1e-9)) "negative (increase)" (-10.)
-    (Stat.pct_reduction ~base:10. 11.);
-  Alcotest.(check (float 1e-9)) "zero base" 0. (Stat.pct_reduction ~base:0. 5.)
 
 let test_mean_of () =
   Alcotest.(check (float 1e-9)) "mean of list" 2. (Stat.mean_of [ 1.; 2.; 3. ]);
@@ -225,6 +194,132 @@ let test_json_non_finite () =
     (Json.to_int (Json.Num (Float.of_int min_int)));
   Alcotest.(check (option int)) "42" (Some 42) (Json.to_int (Json.Num 42.))
 
+(* --- JSON text: strict grammar and fuzzing --------------------------- *)
+
+(* Each input is one form RFC 8259 forbids but a lenient reader takes:
+   [int_of_string] on a [\u] escape's hex and [float_of_string] on a
+   number's text. *)
+let test_json_rejects_non_json () =
+  List.iter
+    (fun (text, why) ->
+      match Json.parse text with
+      | Ok v -> Alcotest.failf "%S (%s) parsed as %s" text why (Json.to_string v)
+      | Error _ -> ())
+    [
+      ({|"\u0_41"|}, "underscore in a \\u escape");
+      ({|"\u+041"|}, "sign in a \\u escape");
+      ({|"\u004"|}, "three-digit \\u escape");
+      ("01", "leading zero");
+      ("-01", "negative leading zero");
+      ("1.", "empty fraction");
+      ("-.5", "empty integer part");
+      ("1.e5", "empty fraction before an exponent");
+      ("1e", "empty exponent");
+      ("-", "lone minus");
+      ("+1", "plus sign");
+      ("\"a\tb\"", "raw control character in a string");
+    ];
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check bool) text true (Json.parse text = Ok want))
+    [
+      ({|"\u0041\u00e9"|}, Json.Str "A\xc3\xa9");
+      ("0", Json.Num 0.);
+      ("-0.5e-3", Json.Num (-0.5e-3));
+      ("10E+2", Json.Num 1000.);
+      ("[1,-2.25]", Json.Arr [ Json.Num 1.; Json.Num (-2.25) ]);
+    ]
+
+(* Strings over every byte, weighted toward the ones the printer must
+   escape. *)
+let json_string_gen =
+  QCheck.Gen.(
+    string_size (int_bound 8)
+      ~gen:
+        (frequency
+           [
+             (3, oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '/' ]);
+             (3, printable);
+             (1, char);
+           ]))
+
+let json_value_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (* [to_string] prints non-finite numbers as [null]:
+                    they cannot come back as themselves *)
+                 ( 2,
+                   map
+                     (fun f -> Json.Num (if Float.is_finite f then f else 0.))
+                     json_float_gen );
+                 (2, map (fun s -> Json.Str s) json_string_gen);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.Arr l)
+                     (list_size (int_bound 4) (self (n - 1))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4)
+                        (pair json_string_gen (self (n - 1)))) );
+               ]))
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:500 ~name:"json parse (to_string v) = Ok v"
+    (QCheck.make ~print:Json.to_string json_value_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let parses_or_errors text =
+  match Json.parse text with Ok _ | Error _ -> true
+
+let prop_json_total_bytes =
+  QCheck.Test.make ~count:1000 ~name:"json parse total on arbitrary bytes"
+    QCheck.(string_gen_of_size Gen.(int_bound 24) Gen.char)
+    parses_or_errors
+
+(* One-byte insertions, deletions and replacements of printed
+   documents: text that is almost JSON reaches the deep error paths. *)
+let prop_json_total_mutations =
+  let gen =
+    QCheck.Gen.(
+      quad json_value_gen (int_bound 2) nat
+        (oneof
+           [
+             char;
+             oneofl [ '"'; '\\'; 'u'; '-'; '.'; 'e'; '0'; ','; ']'; '}' ];
+           ]))
+  in
+  let mutate (v, kind, at, c) =
+    let s = Json.to_string v in
+    let i = at mod (String.length s + 1) in
+    let before = String.sub s 0 i in
+    let after = String.sub s i (String.length s - i) in
+    let rest =
+      if i = String.length s then ""
+      else String.sub s (i + 1) (String.length s - i - 1)
+    in
+    match kind with
+    | 0 -> before ^ String.make 1 c ^ after
+    | 1 -> before ^ rest
+    | _ -> before ^ String.make 1 c ^ rest
+  in
+  QCheck.Test.make ~count:1000 ~name:"json parse total on mutated documents"
+    (QCheck.make ~print:(fun m -> Printf.sprintf "%S" (mutate m)) gen)
+    (fun m -> parses_or_errors (mutate m))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -235,10 +330,6 @@ let suite =
     Alcotest.test_case "rng chance extremes" `Quick test_rng_chance_extremes;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "rng uniformity" `Quick test_rng_uniformity;
-    Alcotest.test_case "stat basic" `Quick test_stat_basic;
-    Alcotest.test_case "stat empty" `Quick test_stat_empty;
-    Alcotest.test_case "stat reset" `Quick test_stat_reset;
-    Alcotest.test_case "pct reduction" `Quick test_pct_reduction;
     Alcotest.test_case "mean of list" `Quick test_mean_of;
     Alcotest.test_case "pool: empty task list" `Quick test_pool_empty;
     Alcotest.test_case "pool: single task" `Quick test_pool_single_task;
@@ -249,4 +340,9 @@ let suite =
     Alcotest.test_case "json non-finite and huge numbers" `Quick
       test_json_non_finite;
     QCheck_alcotest.to_alcotest prop_json_numbers;
+    Alcotest.test_case "json rejects non-JSON text" `Quick
+      test_json_rejects_non_json;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
+    QCheck_alcotest.to_alcotest prop_json_total_bytes;
+    QCheck_alcotest.to_alcotest prop_json_total_mutations;
   ]
